@@ -305,10 +305,8 @@ func BenchmarkSchedulers(b *testing.B) {
 // BenchmarkSimThroughput is the perf-trajectory benchmark: raw simulator
 // throughput (simulated cycles/sec and completed memory requests/sec) on
 // 4-core FQ-VFTF configurations spanning the workload intensity range,
-// each swept across channel counts in serial and intra-run parallel
-// mode (results are bit-identical; only wall-clock differs).
-// cmd/benchjson runs the same configurations and emits JSON so future
-// PRs can compare against the recorded trajectory in BENCH_baseline.json.
+// each swept across channel counts. perfbench/ is the end-to-end
+// benchmark with pinned result digests and per-layer numbers.
 func BenchmarkSimThroughput(b *testing.B) {
 	for _, v := range []struct {
 		name    string
@@ -319,41 +317,34 @@ func BenchmarkSimThroughput(b *testing.B) {
 		{"heavy-4xart", []string{"art", "art", "art", "art"}},
 	} {
 		for _, nch := range []int{1, 2, 4} {
-			for _, workers := range []int{0, 8} {
-				mode := "serial"
-				if workers > 1 {
-					mode = "par"
+			b.Run(v.name+"/ch="+itoa(int64(nch)), func(b *testing.B) {
+				profiles := make([]trace.Profile, len(v.benches))
+				for i, n := range v.benches {
+					profiles[i], _ = trace.ByName(n)
 				}
-				b.Run(v.name+"/ch="+itoa(int64(nch))+"/"+mode, func(b *testing.B) {
-					profiles := make([]trace.Profile, len(v.benches))
-					for i, n := range v.benches {
-						profiles[i], _ = trace.ByName(n)
-					}
-					cfg := sim.Config{Workload: profiles, Policy: sim.FQVFTF, Workers: workers}
-					cfg.Mem.Channels = nch
-					s, err := sim.New(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer s.Close()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						s.Step(10_000)
-					}
-					elapsed := b.Elapsed().Seconds()
-					if elapsed == 0 {
-						elapsed = 1e-9
-					}
-					var reqs int64
-					for t := 0; t < len(profiles); t++ {
-						st := s.Controller().Stats(t)
-						reqs += st.ReadsDone + st.WritesDone
-					}
-					b.ReportMetric(float64(s.Cycle())/elapsed/1e6, "Msimcycles/s")
-					b.ReportMetric(float64(reqs)/elapsed/1e3, "kreqs/s")
-				})
-			}
+				cfg := sim.Config{Workload: profiles, Policy: sim.FQVFTF}
+				cfg.Mem.Channels = nch
+				s, err := sim.New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.Step(10_000)
+				}
+				elapsed := b.Elapsed().Seconds()
+				if elapsed == 0 {
+					elapsed = 1e-9
+				}
+				var reqs int64
+				for t := 0; t < len(profiles); t++ {
+					st := s.Controller().Stats(t)
+					reqs += st.ReadsDone + st.WritesDone
+				}
+				b.ReportMetric(float64(s.Cycle())/elapsed/1e6, "Msimcycles/s")
+				b.ReportMetric(float64(reqs)/elapsed/1e3, "kreqs/s")
+			})
 		}
 	}
 }

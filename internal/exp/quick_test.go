@@ -2,7 +2,6 @@ package exp
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 )
 
@@ -90,36 +89,20 @@ func TestParallelDoJoinsAllErrors(t *testing.T) {
 	}
 }
 
-// TestWorkerBudget checks that the sweep-wide worker budget is divided
-// between run-level fan-out and intra-run parallelism — and that a
-// sweep run with intra-run workers reproduces a serial sweep exactly.
+// TestWorkerBudget checks that Parallel sets the run-level concurrency,
+// with 0 (or less) selecting the default of 8.
 func TestWorkerBudget(t *testing.T) {
 	for _, tc := range []struct {
-		workers, intra, want int
+		parallel, want int
 	}{
-		{8, 4, 2},
-		{8, 0, 8},
-		{3, 8, 1},
-		{0, 4, 8}, // Workers unset: legacy Parallel default
+		{0, 8},
+		{-1, 8},
+		{1, 1},
+		{3, 3},
 	} {
-		r := NewRunner(Config{Warmup: 1, Window: 1, Workers: tc.workers, IntraWorkers: tc.intra})
+		r := NewRunner(Config{Warmup: 1, Window: 1, Parallel: tc.parallel})
 		if r.runWorkers != tc.want {
-			t.Errorf("Workers=%d IntraWorkers=%d: runWorkers = %d, want %d",
-				tc.workers, tc.intra, r.runWorkers, tc.want)
+			t.Errorf("Parallel=%d: runWorkers = %d, want %d", tc.parallel, r.runWorkers, tc.want)
 		}
-	}
-
-	serial := NewRunner(Config{Warmup: 5_000, Window: 20_000})
-	par := NewRunner(Config{Warmup: 5_000, Window: 20_000, Workers: 8, IntraWorkers: 4})
-	a, err := serial.CoRun([]string{"vpr", "art"}, "FQ-VFTF")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := par.CoRun([]string{"vpr", "art"}, "FQ-VFTF")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("intra-run parallel sweep diverges from serial:\n serial:   %+v\n parallel: %+v", a, b)
 	}
 }

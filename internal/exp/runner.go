@@ -31,23 +31,9 @@ type Config struct {
 	// Seed perturbs the trace generators.
 	Seed uint64
 
-	// Parallel bounds concurrent simulations (0 = GOMAXPROCS via
-	// unbounded goroutines; runs are independent and deterministic).
+	// Parallel bounds concurrent simulations (0 selects 8; runs are
+	// independent and deterministic).
 	Parallel int
-
-	// Workers is the sweep's total worker-goroutine budget, shared
-	// between run-level fan-out and intra-run parallelism: with
-	// IntraWorkers > 1 the run-level concurrency becomes
-	// max(1, Workers/IntraWorkers) so the two dimensions multiply out
-	// to at most Workers busy goroutines instead of oversubscribing
-	// the machine. 0 leaves Parallel in charge.
-	Workers int
-
-	// IntraWorkers is passed to every simulation as sim.Config.Workers
-	// (sharded per-channel scheduling plus concurrent core stepping;
-	// results stay bit-identical to serial). 0 or 1 runs each
-	// simulation serially.
-	IntraWorkers int
 
 	// Audit runs every simulation under the runtime invariant auditor
 	// (see internal/audit); results are identical, violations panic. The
@@ -132,8 +118,8 @@ type Runner struct {
 	intfMemo  map[string]InterferenceDoc
 	simCycles int64
 	limit     chan struct{}
-	// runWorkers is the run-level concurrency implied by the worker
-	// budget; parallelDo spawns exactly this many worker goroutines.
+	// runWorkers is the run-level concurrency (Parallel, defaulted);
+	// parallelDo spawns exactly this many worker goroutines.
 	runWorkers int
 
 	// stopAfterCheckpoints is a test hook: when > 0, the runner aborts
@@ -168,17 +154,6 @@ func NewRunner(cfg Config) *Runner {
 	n := cfg.Parallel
 	if n <= 0 {
 		n = 8
-	}
-	if cfg.Workers > 0 {
-		// Divide the budget between run-level and intra-run fan-out.
-		intra := cfg.IntraWorkers
-		if intra < 1 {
-			intra = 1
-		}
-		n = cfg.Workers / intra
-		if n < 1 {
-			n = 1
-		}
 	}
 	return &Runner{
 		cfg:        cfg,
@@ -243,12 +218,10 @@ func (r *Runner) run(key string, cfg sim.Config) (sim.Result, error) {
 	cfg.Audit = cfg.Audit || r.cfg.Audit
 	cfg.Interference = cfg.Interference || r.cfg.Interference
 	cfg.SampleInterval = r.cfg.SampleInterval
-	cfg.Workers = r.cfg.IntraWorkers
 	sys, res, stepped, err := r.runSim(key, cfg)
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("exp: run %s: %w", key, err)
 	}
-	defer sys.Close()
 	if r.cfg.SampleInterval > 0 && r.cfg.SeriesDir != "" {
 		if err := writeSeries(r.cfg.SeriesDir, key, sys); err != nil {
 			return sim.Result{}, fmt.Errorf("exp: series %s: %w", key, err)
@@ -480,8 +453,7 @@ func (r *Runner) parallelDo(n int, fn func(i int) error) error {
 // parallelDo runs fn(i) for i in [0, n) on min(width, n) worker
 // goroutines pulling indices from a shared counter, so the goroutine
 // count — not just the in-flight simulation count — respects the
-// worker budget even when each fn fans out intra-run workers of its
-// own.
+// worker budget.
 func parallelDo(width, n int, fn func(i int) error) error {
 	if width <= 0 || width > n {
 		width = n

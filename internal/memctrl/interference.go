@@ -38,18 +38,18 @@ import (
 //     release because BlockingCause is a pure max over device
 //     timestamps, not a function of the probe cycle.
 //   - Requests that were ready at now but were not issued are charged
-//     one more cycle at tick end, to the thread whose command the
-//     channel issued instead (or to refresh, or — when the bank is
-//     holding for a not-yet-ready request under a strict key rule — to
-//     the thread the bank is held for). attrFrom advances to now+1.
+//     one more cycle once the channel's decision is applied, to the
+//     thread whose command the channel issued instead (or to refresh,
+//     or — when the bank is holding for a not-yet-ready request under
+//     a strict key rule — to the thread the bank is held for).
+//     attrFrom advances to now+1.
 //   - The request that wins its CAS at cycle now was examined this very
 //     cycle, so attrFrom == now and the charges already cover
 //     [arrival, now) exactly: conservation is structural, not tuned.
 //
-// Examination writes touch only per-slot and per-channel state, so the
-// parallel per-channel schedule phase stays race-free; the global
-// matrix is folded in TickEnd's canonical serial channel order, which
-// keeps parallel runs bit-identical to serial ones.
+// Each channel's charges are staged while its banks are examined and
+// folded into the global matrix right after the channel's decision is
+// applied, in channel order.
 
 // Attribution causes. Exclusive: each waited cycle lands in exactly one.
 const (
@@ -88,14 +88,14 @@ type InterferenceSnapshot struct {
 	Cross int64 `json:"cross"`
 }
 
-// Per-channel charges are staged in a channel-local copy of the cube
-// plus the list of touched cells, so a tick's many one-cycle charges to
-// the same (victim, aggressor, cause) coalesce into one fold and one
-// registry-counter bump at tick end.
+// A channel's charges are staged in a copy of the cube plus the list of
+// touched cells, so a tick's many one-cycle charges to the same
+// (victim, aggressor, cause) coalesce into one fold and one
+// registry-counter bump.
 
 // intfReady is a request that was ready at the current cycle; whether
 // and to whom its current cycle is charged depends on the channel's
-// decision, so the charge is resolved at tick end.
+// decision, so the charge is resolved once the decision is applied.
 type intfReady struct {
 	slot   int32
 	victim int32
@@ -129,23 +129,23 @@ type intfTracker struct {
 	attr   []attrState
 	attrBy []int64 // nslots x aggrs
 
-	// cube[victim][aggressor][cause], flattened. Mutated only in the
-	// serial TickEnd fold; baseline is the copy taken when measurement
-	// begins, so windowed results exclude warmup.
+	// cube[victim][aggressor][cause], flattened. Mutated only by drain;
+	// baseline is the copy taken when measurement begins, so windowed
+	// results exclude warmup.
 	cube     []int64
 	baseline []int64
 
-	// Per-channel staging, written only by that channel's schedule
-	// phase. stage[ch] is cube-shaped; touched[ch] lists its nonzero
-	// cells. polCnt is drain's per-victim scratch.
-	stage   [][]int64
-	touched [][]int32
-	ready   [][]intfReady
-	holds   [][]intfHold
+	// Staging for the channel being scheduled, emptied by drain. stage
+	// is cube-shaped; touched lists its nonzero cells. polCnt is
+	// drain's per-victim scratch.
+	stage   []int64
+	touched []int32
+	ready   []intfReady
+	holds   []intfHold
 	polCnt  []int64
 
 	// Registry mirrors (nil without a registry): real counters bumped
-	// at the TickEnd fold so the epoch sampler sees counter deltas.
+	// by drain's fold so the epoch sampler sees counter deltas.
 	pairCtr  []*metrics.Counter // threads x aggrs
 	causeCtr [numCauses]*metrics.Counter
 
@@ -161,7 +161,9 @@ func newIntfTracker(c *Controller, reg *metrics.Registry) *intfTracker {
 	threads := c.cfg.Threads
 	aggrs := threads + 1
 	nslots := len(c.arena)
-	nch := len(c.chans)
+	cells := threads * aggrs * numCauses
+	// Staging is sized to the worst case so the steady state is
+	// allocation-free.
 	t := &intfTracker{
 		threads:  threads,
 		aggrs:    aggrs,
@@ -169,19 +171,11 @@ func newIntfTracker(c *Controller, reg *metrics.Registry) *intfTracker {
 		attrBy:   make([]int64, nslots*aggrs),
 		cube:     make([]int64, threads*aggrs*numCauses),
 		baseline: make([]int64, threads*aggrs*numCauses),
-		stage:    make([][]int64, nch),
-		touched:  make([][]int32, nch),
-		ready:    make([][]intfReady, nch),
-		holds:    make([][]intfHold, nch),
+		stage:    make([]int64, cells),
+		touched:  make([]int32, 0, cells),
+		ready:    make([]intfReady, 0, nslots+4),
+		holds:    make([]intfHold, 0, c.cfg.DRAM.Ranks*c.cfg.DRAM.BanksPerRank+1),
 		polCnt:   make([]int64, threads),
-	}
-	cells := threads * aggrs * numCauses
-	for i := range t.stage {
-		// Sized to the worst case so the steady state is allocation-free.
-		t.stage[i] = make([]int64, cells)
-		t.touched[i] = make([]int32, 0, cells)
-		t.ready[i] = make([]intfReady, 0, nslots+4)
-		t.holds[i] = make([]intfHold, 0, c.cfg.DRAM.Ranks*c.cfg.DRAM.BanksPerRank+1)
 	}
 	if reg != nil {
 		t.pairCtr = make([]*metrics.Counter, threads*aggrs)
@@ -241,31 +235,29 @@ func (t *intfTracker) classify(victim int, bc dram.BlockCause, th int) (cause, a
 }
 
 // charge attributes cycles to (victim, aggr, cause) for a slot: the
-// per-slot totals are updated immediately (slots belong to exactly one
-// channel, so this is safe from the parallel schedule phase); the
-// global matrix contribution is staged in the channel-local cube.
-func (t *intfTracker) charge(chIdx int, slot int32, victim, aggr, cause int, cycles int64) {
+// per-slot totals are updated immediately; the global matrix
+// contribution is staged.
+func (t *intfTracker) charge(slot int32, victim, aggr, cause int, cycles int64) {
 	t.attr[slot].total += cycles
 	t.attrBy[int(slot)*t.aggrs+aggr] += cycles
-	t.stageAdd(chIdx, (victim*t.aggrs+aggr)*numCauses+cause, cycles)
+	t.stageAdd((victim*t.aggrs+aggr)*numCauses+cause, cycles)
 }
 
 // stageAdd adds cycles to one staged-cube cell, tracking first touches.
-func (t *intfTracker) stageAdd(chIdx, idx int, cycles int64) {
-	st := t.stage[chIdx]
-	if st[idx] == 0 {
-		t.touched[chIdx] = append(t.touched[chIdx], int32(idx))
+func (t *intfTracker) stageAdd(idx int, cycles int64) {
+	if t.stage[idx] == 0 {
+		t.touched = append(t.touched, int32(idx))
 	}
-	st[idx] += cycles
+	t.stage[idx] += cycles
 }
 
 // exam attributes a request's wait and stages the request for the
-// tick-end charge. bankSchedule calls it only for requests whose next
+// current-cycle charge drain settles. bankSchedule calls it only for requests whose next
 // command is issuable (early <= now): still-blocked requests cost a
 // single comparison at the call site — their accumulating wait is
 // charged in one step at the ready transition (see the protocol
 // comment above).
-func (t *intfTracker) exam(ch *dram.Channel, chIdx int, slot int32, victim int, kind dram.Kind, lb int, early, now int64) {
+func (t *intfTracker) exam(ch *dram.Channel, slot int32, victim int, kind dram.Kind, lb int, early, now int64) {
 	f := t.attr[slot].from
 	if f < now {
 		blockedEnd := early
@@ -275,18 +267,18 @@ func (t *intfTracker) exam(ch *dram.Channel, chIdx int, slot int32, victim int, 
 		if blockedEnd > f {
 			_, bc, th := ch.BlockingCause(kind, lb)
 			cause, aggr := t.classify(victim, bc, th)
-			t.charge(chIdx, slot, victim, aggr, cause, blockedEnd-f)
+			t.charge(slot, victim, aggr, cause, blockedEnd-f)
 		}
 		if now > blockedEnd {
 			// Ready cycles no examination charged (the span since the
 			// command became issuable, plus any invalidation gap).
 			// Structural conservation: charge them to the policy with no
 			// aggressor rather than lose them.
-			t.charge(chIdx, slot, victim, t.threads, causePolicy, now-blockedEnd)
+			t.charge(slot, victim, t.threads, causePolicy, now-blockedEnd)
 		}
 		t.attr[slot].from = now
 	}
-	t.ready[chIdx] = append(t.ready[chIdx], intfReady{
+	t.ready = append(t.ready, intfReady{
 		slot: slot, victim: int32(victim),
 	})
 }
@@ -294,24 +286,23 @@ func (t *intfTracker) exam(ch *dram.Channel, chIdx int, slot int32, victim int, 
 // patchFallback records the hold-for thread of the ready entries a
 // bank appended this cycle, once the bank's key-selected request is
 // known (entries [base:] belong to the bank just scheduled).
-func (t *intfTracker) patchFallback(chIdx, base, thread int) {
-	if base < len(t.ready[chIdx]) {
-		t.holds[chIdx] = append(t.holds[chIdx], intfHold{
+func (t *intfTracker) patchFallback(base, thread int) {
+	if base < len(t.ready) {
+		t.holds = append(t.holds, intfHold{
 			base: int32(base), thread: int32(thread),
 		})
 	}
 }
 
 // readyBase returns the staging mark patchFallback records against.
-func (t *intfTracker) readyBase(chIdx int) int { return len(t.ready[chIdx]) }
+func (t *intfTracker) readyBase() int { return len(t.ready) }
 
 // drain resolves the current-cycle charge for a channel's ready
-// requests against the channel's decision and folds the channel's
-// staged cube into the global matrix and its registry mirrors. Called
-// from TickEnd in canonical channel order, after the decision is
-// applied and before it is cleared.
+// requests against the channel's decision and folds the staged cube
+// into the global matrix and its registry mirrors. Tick calls it for
+// each channel right after applying the channel's decision.
 func (t *intfTracker) drain(c *Controller, chIdx int, d *decision, now int64) {
-	ready := t.ready[chIdx]
+	ready := t.ready
 	if len(ready) > 0 {
 		switch {
 		case d.kind == decCmd:
@@ -338,13 +329,13 @@ func (t *intfTracker) drain(c *Controller, chIdx int, d *decision, now int64) {
 			for v, n := range t.polCnt {
 				if n != 0 {
 					t.polCnt[v] = 0
-					t.stageAdd(chIdx, (v*t.aggrs+winner)*numCauses+causePolicy, n)
+					t.stageAdd((v*t.aggrs+winner)*numCauses+causePolicy, n)
 				}
 			}
 		case d.kind == decRefresh || c.refreshWanted[chIdx]:
 			for i := range ready {
 				e := &ready[i]
-				t.charge(chIdx, e.slot, int(e.victim), t.threads, causeRefresh, 1)
+				t.charge(e.slot, int(e.victim), t.threads, causeRefresh, 1)
 				t.attr[e.slot].from = now + 1
 			}
 		default:
@@ -352,7 +343,7 @@ func (t *intfTracker) drain(c *Controller, chIdx int, d *decision, now int64) {
 			// offering bank for a not-yet-ready request; charge the
 			// thread the victim's bank is held for (recorded per bank in
 			// the hold ranges).
-			holds := t.holds[chIdx]
+			holds := t.holds
 			aggr := t.threads
 			for i, h := 0, 0; i < len(ready); i++ {
 				for h < len(holds) && int(holds[h].base) <= i {
@@ -360,19 +351,19 @@ func (t *intfTracker) drain(c *Controller, chIdx int, d *decision, now int64) {
 					h++
 				}
 				e := &ready[i]
-				t.charge(chIdx, e.slot, int(e.victim), aggr, causePolicy, 1)
+				t.charge(e.slot, int(e.victim), aggr, causePolicy, 1)
 				t.attr[e.slot].from = now + 1
 			}
 		}
-		t.ready[chIdx] = ready[:0]
+		t.ready = ready[:0]
 	}
-	t.holds[chIdx] = t.holds[chIdx][:0]
+	t.holds = t.holds[:0]
 
-	touched := t.touched[chIdx]
+	touched := t.touched
 	if len(touched) == 0 {
 		return
 	}
-	st := t.stage[chIdx]
+	st := t.stage
 	for _, idx := range touched {
 		cycles := st[idx]
 		st[idx] = 0
@@ -382,7 +373,7 @@ func (t *intfTracker) drain(c *Controller, chIdx int, d *decision, now int64) {
 			t.causeCtr[int(idx)%numCauses].Add(cycles)
 		}
 	}
-	t.touched[chIdx] = touched[:0]
+	t.touched = touched[:0]
 }
 
 // onServiceStart finalizes a request's attribution at its CAS issue:

@@ -219,15 +219,14 @@ type candidate struct {
 	inverted bool
 }
 
-// Channel decision kinds for the schedule/apply split of Tick.
+// Channel decision kinds.
 const (
 	decNone uint8 = iota
 	decRefresh
 	decCmd
 )
 
-// decision is one channel's scheduling outcome for the current cycle,
-// computed read-mostly by ScheduleChannel and applied by TickEnd.
+// decision is one channel's scheduling outcome for the current cycle.
 type decision struct {
 	kind uint8
 	cand candidate
@@ -285,13 +284,8 @@ type Controller struct {
 	stats    []ThreadStats
 	cmdCount [6]int64 // by dram.Kind
 
-	// Per-channel scheduling scratch and decisions. ScheduleChannel for
-	// channel c writes only dec[c], chanCands[c], and c's partition of
-	// the wake lists / key cache / refresh flags, so distinct channels
-	// can be scheduled concurrently; TickEnd applies the decisions
-	// serially in canonical channel order.
-	dec       []decision
-	chanCands [][]candidate
+	// cands is the channel scheduler's candidate scratch.
+	cands []candidate
 
 	// Event-driven scheduling state. bankWake[b] is a conservative lower
 	// bound on the next cycle bankSchedule(b) could offer a candidate;
@@ -308,7 +302,7 @@ type Controller struct {
 	nextEvent   int64
 
 	// ticker is the policy's interval entry point (nil for policies
-	// without window-based state). TickBegin fires it on boundary
+	// without window-based state). Tick fires it on boundary
 	// cycles; computeNextEvent clamps to its next boundary so the
 	// event-driven path never skips one.
 	ticker core.PolicyTicker
@@ -383,8 +377,7 @@ func New(cfg Config, policy core.Policy) (*Controller, error) {
 		refreshWanted: make([]bool, nch),
 		nextRefreshAt: make([]int64, nch),
 		stats:         make([]ThreadStats, cfg.Threads),
-		dec:           make([]decision, nch),
-		chanCands:     make([][]candidate, nch),
+		cands:         make([]candidate, 0, cfg.DRAM.Banks()),
 		eventDriven:   true,
 		bankWake:      make([]int64, nch*cfg.DRAM.Banks()),
 	}
@@ -394,9 +387,6 @@ func New(cfg Config, policy core.Policy) (*Controller, error) {
 	}
 	for i := range c.chanEpoch {
 		c.chanEpoch[i] = 1
-	}
-	for i := range c.chanCands {
-		c.chanCands[i] = make([]candidate, 0, cfg.DRAM.Banks())
 	}
 	for i := range c.inflight {
 		c.inflight[i] = make([]inflightRead, 0, nslots)
@@ -730,32 +720,15 @@ func better(a, b *candidate) bool {
 
 // Tick advances the controller one cycle: completes finished reads,
 // manages refresh, and issues at most one SDRAM command per channel,
-// chosen by the bank and channel schedulers. It is the serial
-// composition of the three phases below; a parallel driver may instead
-// call TickBegin, then ScheduleChannel for every channel (concurrently
-// across channels), then TickEnd, with bit-identical results.
+// chosen by the bank and channel schedulers.
 func (c *Controller) Tick(now int64) {
-	if !c.TickBegin(now) {
-		return
-	}
-	for chIdx := range c.chans {
-		c.ScheduleChannel(chIdx, now)
-	}
-	c.TickEnd(now)
-}
-
-// TickBegin runs the serial head of a tick: the event-driven fast
-// path, read-completion delivery, and the virtual-clock update. It
-// reports whether the scheduling phases (ScheduleChannel + TickEnd)
-// must run; false means the tick is already complete.
-func (c *Controller) TickBegin(now int64) bool {
 	// Event-driven fast path: nothing can happen before nextEvent, so
 	// the whole tick reduces to the virtual-clock update.
 	if c.eventDriven && now < c.nextEvent {
 		if !c.chans[0].InRefresh(now) {
 			c.vclock++
 		}
-		return false
+		return
 	}
 
 	// 1. Deliver reads whose data burst has completed.
@@ -814,7 +787,7 @@ func (c *Controller) TickBegin(now int64) bool {
 	// next-event bound is clamped to NextTickAt, so boundary cycles are
 	// always full ticks and this fires at exactly the boundary in fast
 	// and strict mode alike. A Key-feeding change invalidates every
-	// cached scheduling decision before this cycle's schedule phase.
+	// cached scheduling decision before this cycle's scheduling.
 	if c.ticker != nil && now >= c.ticker.NextTickAt() {
 		if c.ticker.Tick(now) {
 			c.InvalidateScheduling()
@@ -824,28 +797,35 @@ func (c *Controller) TickBegin(now int64) bool {
 	if c.aud != nil {
 		c.aud.OnTick(now)
 	}
-	return true
+
+	// 4. Each channel in turn: schedule, issue the decision, and settle
+	// the cycle's interference charges against it.
+	for chIdx := range c.chans {
+		d := c.scheduleChannel(chIdx, now)
+		switch d.kind {
+		case decRefresh:
+			c.issueRefresh(chIdx, now)
+		case decCmd:
+			c.issue(&d.cand, now)
+		}
+		if c.intf != nil {
+			c.intf.drain(c, chIdx, &d, now)
+		}
+	}
+	if c.eventDriven {
+		c.nextEvent = c.computeNextEvent(now)
+	}
 }
 
-// ScheduleChannel runs one channel's refresh management and bank
-// schedulers for cycle now and records the outcome in the channel's
-// decision without applying it. It writes only channel-partitioned
-// state — the channel's decision, candidate scratch, bank wake times,
-// refresh-wanted flag, and its requests' cached keys — and reads only
-// state no other channel's schedule phase writes, so distinct channels
-// may be scheduled concurrently. The policy's Key purity contract
-// (core.Policy) is what makes the candidate ranking safe here: Key
-// depends only on request-immutable fields and same-channel policy
-// state, both constant until TickEnd applies the decisions.
-func (c *Controller) ScheduleChannel(chIdx int, now int64) {
+// scheduleChannel runs one channel's refresh management and bank
+// schedulers for cycle now and returns the channel's decision.
+func (c *Controller) scheduleChannel(chIdx int, now int64) decision {
 	ch := c.chans[chIdx]
-	d := &c.dec[chIdx]
-	d.kind = decNone
 	if now >= c.nextRefreshAt[chIdx] && !c.refreshWanted[chIdx] {
 		c.refreshWanted[chIdx] = true
 		// Pending refresh changes bank scheduling (idle open rows
 		// must drain, activates are suppressed): re-examine the
-		// channel's banks. nextEvent is not lowered here — TickEnd
+		// channel's banks. nextEvent is not lowered here — Tick
 		// recomputes it from the wake lists after every decision.
 		lo := chIdx * c.banksPerChan
 		for b := lo; b < lo+c.banksPerChan; b++ {
@@ -856,18 +836,17 @@ func (c *Controller) ScheduleChannel(chIdx int, now int64) {
 	}
 	inRefresh := ch.InRefresh(now)
 	if c.refreshWanted[chIdx] && !inRefresh && ch.AllBanksClosed() && ch.Ready(dram.KindRefresh, 0, now) {
-		d.kind = decRefresh
-		return
+		return decision{kind: decRefresh}
 	}
 	if inRefresh {
-		return
+		return decision{}
 	}
 
 	// Bank schedulers: each bank offers at most one ready command.
 	// Dormant banks (wake time in the future) are skipped: nothing
 	// that changes their readiness has happened since the wake was
 	// computed, or the wake would have been invalidated.
-	cands := c.chanCands[chIdx][:0]
+	cands := c.cands[:0]
 	lo := chIdx * c.banksPerChan
 	for b := lo; b < lo+c.banksPerChan; b++ {
 		if c.eventDriven && c.bankWake[b] > now {
@@ -881,9 +860,9 @@ func (c *Controller) ScheduleChannel(chIdx int, now int64) {
 			c.bankWake[b] = wake
 		}
 	}
-	c.chanCands[chIdx] = cands
+	c.cands = cands
 	if len(cands) == 0 {
-		return
+		return decision{}
 	}
 
 	// Channel scheduler: select the best ready command.
@@ -893,49 +872,31 @@ func (c *Controller) ScheduleChannel(chIdx int, now int64) {
 			best = &cands[i]
 		}
 	}
-	d.kind = decCmd
-	d.cand = *best
+	return decision{kind: decCmd, cand: *best}
 }
 
-// TickEnd applies every channel's decision in canonical channel order
-// — the single-threaded merge that keeps parallel scheduling
-// bit-identical to the serial loop — and recomputes the next-event
-// bound.
-func (c *Controller) TickEnd(now int64) {
-	for chIdx, ch := range c.chans {
-		d := &c.dec[chIdx]
-		switch d.kind {
-		case decRefresh:
-			if c.aud != nil {
-				c.aud.OnRefresh(chIdx, now)
-			}
-			ch.Issue(dram.KindRefresh, 0, 0, now)
-			c.cmdCount[dram.KindRefresh]++
-			if c.met != nil {
-				c.met.refreshLag.Observe(now + 1 - c.vclock)
-			}
-			if c.tw != nil {
-				c.tw.Complete("REF", tracePidChannel+chIdx, c.banksPerChan, now, c.cmdDuration(dram.KindRefresh))
-			}
-			c.refreshWanted[chIdx] = false
-			c.nextRefreshAt[chIdx] += int64(c.cfg.DRAM.Timing.TREF)
-			// The channel sleeps until the refresh completes. Raising
-			// wakes is safe here (and only here): refreshUntil lower-
-			// bounds EarliestIssue of every command on the channel.
-			lo := chIdx * c.banksPerChan
-			for b := lo; b < lo+c.banksPerChan; b++ {
-				c.bankWake[b] = ch.RefreshEndsAt()
-			}
-		case decCmd:
-			c.issue(&d.cand, now)
-		}
-		if c.intf != nil {
-			c.intf.drain(c, chIdx, d, now)
-		}
-		d.kind = decNone
+// issueRefresh issues a channel's wanted refresh and puts its banks to
+// sleep until the refresh completes.
+func (c *Controller) issueRefresh(chIdx int, now int64) {
+	ch := c.chans[chIdx]
+	if c.aud != nil {
+		c.aud.OnRefresh(chIdx, now)
 	}
-	if c.eventDriven {
-		c.nextEvent = c.computeNextEvent(now)
+	ch.Issue(dram.KindRefresh, 0, 0, now)
+	c.cmdCount[dram.KindRefresh]++
+	if c.met != nil {
+		c.met.refreshLag.Observe(now + 1 - c.vclock)
+	}
+	if c.tw != nil {
+		c.tw.Complete("REF", tracePidChannel+chIdx, c.banksPerChan, now, c.cmdDuration(dram.KindRefresh))
+	}
+	c.refreshWanted[chIdx] = false
+	c.nextRefreshAt[chIdx] += int64(c.cfg.DRAM.Timing.TREF)
+	// Raising wakes is safe here (and only here): refreshUntil lower-
+	// bounds EarliestIssue of every command on the channel.
+	lo := chIdx * c.banksPerChan
+	for b := lo; b < lo+c.banksPerChan; b++ {
+		c.bankWake[b] = ch.RefreshEndsAt()
 	}
 }
 
@@ -1066,7 +1027,7 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (candidate, bool, int
 		intfBase  int // tracker's ready-staging mark for this bank
 	)
 	if c.intf != nil {
-		intfBase = c.intf.readyBase(chIdx)
+		intfBase = c.intf.readyBase()
 	}
 	for _, slot := range slots {
 		r := &c.arena[slot]
@@ -1109,7 +1070,7 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (candidate, bool, int
 					earlyMemo[kind] = early
 				}
 				if early <= now {
-					c.intf.exam(ch, chIdx, slot, r.Thread, kind, lb, early, now)
+					c.intf.exam(ch, slot, r.Thread, kind, lb, early, now)
 				}
 			}
 			continue
@@ -1123,7 +1084,7 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (candidate, bool, int
 			minEarly = early
 		}
 		if c.intf != nil && early <= now {
-			c.intf.exam(ch, chIdx, slot, r.Thread, kind, lb, early, now)
+			c.intf.exam(ch, slot, r.Thread, kind, lb, early, now)
 		}
 		ready := early <= now
 		isCAS := kind == dram.KindRead || kind == dram.KindWrite
@@ -1170,7 +1131,7 @@ func (c *Controller) bankSchedule(chIdx, b int, now int64) (candidate, bool, int
 	if c.intf != nil {
 		// Ready requests not issued this cycle may be charged to the
 		// thread the bank scheduler is holding for (see drain).
-		c.intf.patchFallback(chIdx, intfBase, bestReq.Thread)
+		c.intf.patchFallback(intfBase, bestReq.Thread)
 	}
 	// A refresh is pending: finish closing the bank but start nothing
 	// new. Activates are only selected when the bank is closed, in which

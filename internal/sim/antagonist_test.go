@@ -11,9 +11,8 @@ import (
 )
 
 // The antagonist profiles join every systemwide determinism suite the
-// SPEC profiles are held to: fast/strict equivalence, serial/parallel
-// equivalence, checkpoint-resume bit-identity, and the zero-alloc
-// steady state. The attack-address generators and the stream agent's
+// SPEC profiles are held to: fast/strict equivalence, checkpoint-resume
+// bit-identity, and the zero-alloc steady state. The attack-address generators and the stream agent's
 // deep-queue core/cache configs all sit on the hot path, so each suite
 // would catch a nondeterministic or allocating regression there.
 
@@ -37,10 +36,9 @@ func antagonistMixes(t *testing.T) [][]trace.Profile {
 	}
 }
 
-// TestAntagonistEquivalence holds every antagonist mix to the two
-// oracles at once: the event-driven fast path against the strict
-// per-cycle path (Result + controller fingerprint), and serial against
-// parallel dispatch (those plus the final checkpoint's raw bytes).
+// TestAntagonistEquivalence holds every antagonist mix to the strict
+// oracle: the event-driven fast path must match the strict per-cycle
+// path (Result + controller fingerprint).
 func TestAntagonistEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence sweep is slow")
@@ -53,13 +51,12 @@ func TestAntagonistEquivalence(t *testing.T) {
 			mix, pol := mix, pol
 			t.Run(fmt.Sprintf("mix%d/%s", mi, pol.name), func(t *testing.T) {
 				t.Parallel()
-				run := func(strict bool, workers int) (Result, controllerFingerprint, []byte) {
+				run := func(strict bool) (Result, controllerFingerprint) {
 					cfg := Config{
 						Workload: mix,
 						Policy:   pol.factory,
 						Seed:     29,
 						Strict:   strict,
-						Workers:  workers,
 						Audit:    true,
 					}
 					cfg.Mem.Channels = 2
@@ -67,7 +64,6 @@ func TestAntagonistEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer s.Close()
 					s.Step(20_000)
 					s.BeginMeasurement()
 					s.Step(60_000)
@@ -76,29 +72,15 @@ func TestAntagonistEquivalence(t *testing.T) {
 					for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
 						fp.Commands[k] = s.Controller().CommandCount(k)
 					}
-					var ck bytes.Buffer
-					if err := s.Checkpoint(&ck); err != nil {
-						t.Fatal(err)
-					}
-					return s.Results(), fp, ck.Bytes()
+					return s.Results(), fp
 				}
-				fast, fastFP, fastCk := run(false, 0)
-				strict, strictFP, _ := run(true, 0)
-				parl, parlFP, parlCk := run(false, 4)
+				fast, fastFP := run(false)
+				strict, strictFP := run(true)
 				if !reflect.DeepEqual(fast, strict) {
 					t.Errorf("fast/strict Result diverges:\n fast:   %+v\n strict: %+v", fast, strict)
 				}
 				if fastFP != strictFP {
 					t.Errorf("fast/strict controller state diverges:\n fast:   %+v\n strict: %+v", fastFP, strictFP)
-				}
-				if !reflect.DeepEqual(fast, parl) {
-					t.Errorf("serial/parallel Result diverges:\n serial:   %+v\n parallel: %+v", fast, parl)
-				}
-				if fastFP != parlFP {
-					t.Errorf("serial/parallel controller state diverges")
-				}
-				if !bytes.Equal(fastCk, parlCk) {
-					t.Errorf("serial/parallel final checkpoints differ (%d vs %d bytes)", len(fastCk), len(parlCk))
 				}
 			})
 		}
@@ -176,8 +158,7 @@ func TestAntagonistCheckpointResume(t *testing.T) {
 
 // TestAntagonistSteadyStateAllocs holds a mixed agent-kind, all-
 // antagonist system — stream agents with their deeper queues included —
-// to the same zero-allocation steady state as the SPEC mixes, in both
-// serial and parallel dispatch.
+// to the same zero-allocation steady state as the SPEC mixes.
 func TestAntagonistSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement is slow")
@@ -191,30 +172,26 @@ func TestAntagonistSteadyStateAllocs(t *testing.T) {
 		}
 		ps[i] = p
 	}
-	for _, workers := range []int{0, 4} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := Config{
-				Workload: ps,
-				Policy:   FQVFTF,
-				Seed:     41,
-				Workers:  workers,
-			}
-			cfg.Mem.Channels = 2
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			s.Step(200_000)
-			avg := testing.AllocsPerRun(10, func() {
-				s.Step(5_000)
-			})
-			if avg != 0 {
-				t.Errorf("Step allocates %.1f objects per 5k cycles in steady state, want 0", avg)
-			}
+	// workers=0 names the single-threaded dispatch every Step uses.
+	t.Run("workers=0", func(t *testing.T) {
+		cfg := Config{
+			Workload: ps,
+			Policy:   FQVFTF,
+			Seed:     41,
+		}
+		cfg.Mem.Channels = 2
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Step(200_000)
+		avg := testing.AllocsPerRun(10, func() {
+			s.Step(5_000)
 		})
-	}
+		if avg != 0 {
+			t.Errorf("Step allocates %.1f objects per 5k cycles in steady state, want 0", avg)
+		}
+	})
 }
 
 // TestAntagonistCalibration pins each antagonist's solo signature under

@@ -30,8 +30,8 @@ func intfRowSums(s memctrl.InterferenceSnapshot) []int64 {
 
 // TestInterferenceObservationOnly is the tentpole's safety contract:
 // enabling delay attribution must not change a single simulated
-// outcome. Across the post-2006 arena lineage, in fast, strict, and
-// parallel modes, the Result and controller fingerprint with
+// outcome. Across the post-2006 arena lineage, in fast and strict
+// modes, the Result and controller fingerprint with
 // attribution on must equal the run with it off bit for bit. Every run
 // carries the invariant auditor, so the attribution conservation check
 // (charged cycles == queueing delay, at every CAS issue) rides along
@@ -60,26 +60,23 @@ func TestInterferenceObservationOnly(t *testing.T) {
 		{"BANK-BW", BANKBW},
 	}
 	modes := []struct {
-		name    string
-		strict  bool
-		workers int
+		name   string
+		strict bool
 	}{
-		{"fast", false, 0},
-		{"strict", true, 0},
-		{"parallel", false, 4},
+		{"fast", false},
+		{"strict", true},
 	}
 	const warmup, window = 20_000, 80_000
 	for _, p := range policies {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
 			t.Parallel()
-			run := func(strict bool, workers int, intf bool) (Result, controllerFingerprint, memctrl.InterferenceSnapshot) {
+			run := func(strict bool, intf bool) (Result, controllerFingerprint, memctrl.InterferenceSnapshot) {
 				cfg := Config{
 					Workload:     []trace.Profile{art, vpr},
 					Policy:       p.factory,
 					Seed:         13,
 					Strict:       strict,
-					Workers:      workers,
 					Audit:        true,
 					Interference: intf,
 				}
@@ -88,7 +85,6 @@ func TestInterferenceObservationOnly(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer s.Close()
 				s.Step(warmup)
 				s.BeginMeasurement()
 				s.Step(window)
@@ -103,8 +99,8 @@ func TestInterferenceObservationOnly(t *testing.T) {
 			}
 			snaps := make(map[string]memctrl.InterferenceSnapshot)
 			for _, m := range modes {
-				off, offFP, _ := run(m.strict, m.workers, false)
-				on, onFP, snap := run(m.strict, m.workers, true)
+				off, offFP, _ := run(m.strict, false)
+				on, onFP, snap := run(m.strict, true)
 				if !reflect.DeepEqual(off, on) {
 					t.Errorf("%s: attribution changed the Result:\n off: %+v\n on:  %+v", m.name, off, on)
 				}
@@ -116,12 +112,8 @@ func TestInterferenceObservationOnly(t *testing.T) {
 				}
 				snaps[m.name] = snap
 			}
-			// Parallel folds the same spans in canonical channel order:
-			// cell-identical to serial. The strict oracle examines at
-			// every cycle, so only the per-victim totals must agree.
-			if !reflect.DeepEqual(snaps["fast"], snaps["parallel"]) {
-				t.Error("parallel attribution matrix diverges from serial")
-			}
+			// The strict oracle examines at every cycle, so only the
+			// per-victim totals must agree with the fast path.
 			fastSums, strictSums := intfRowSums(snaps["fast"]), intfRowSums(snaps["strict"])
 			for v := range fastSums {
 				diff := fastSums[v] - strictSums[v]
@@ -238,7 +230,7 @@ func TestInterferenceRestoreConfigMismatch(t *testing.T) {
 
 // TestStepZeroSteadyStateAllocsInterference holds the attribution
 // layer to the controller's zero-alloc bar: the per-slot accounting
-// and per-channel span staging must recycle their buffers once warm.
+// and span staging must recycle their buffers once warm.
 func TestStepZeroSteadyStateAllocsInterference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement is slow")
@@ -251,34 +243,25 @@ func TestStepZeroSteadyStateAllocsInterference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 0},
-		{"parallel", 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{
-				Workload:     []trace.Profile{art, vpr, art, vpr},
-				Policy:       FQVFTF,
-				Seed:         37,
-				Workers:      tc.workers,
-				Interference: true,
-			}
-			cfg.Mem.Channels = 2
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			s.Step(200_000)
-			avg := testing.AllocsPerRun(10, func() {
-				s.Step(5_000)
-			})
-			if avg != 0 {
-				t.Errorf("Step allocates %.1f objects per 5k cycles with attribution on, want 0", avg)
-			}
+	// "serial" names the single-threaded dispatch every Step uses.
+	t.Run("serial", func(t *testing.T) {
+		cfg := Config{
+			Workload:     []trace.Profile{art, vpr, art, vpr},
+			Policy:       FQVFTF,
+			Seed:         37,
+			Interference: true,
+		}
+		cfg.Mem.Channels = 2
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Step(200_000)
+		avg := testing.AllocsPerRun(10, func() {
+			s.Step(5_000)
 		})
-	}
+		if avg != 0 {
+			t.Errorf("Step allocates %.1f objects per 5k cycles with attribution on, want 0", avg)
+		}
+	})
 }

@@ -9,7 +9,6 @@ package sim
 import (
 	"fmt"
 	"os"
-	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/metrics"
-	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -161,19 +159,6 @@ type Config struct {
 	// SampleCapacity bounds the retained epochs per series (0 selects
 	// metrics.DefaultSampleCapacity).
 	SampleCapacity int
-
-	// Workers > 1 enables intra-run parallelism: each cycle, per-channel
-	// bank scheduling and per-core work fan out across a fork/join pool
-	// of that total size (capped at GOMAXPROCS and at the useful width
-	// channels+cores), and a single-threaded merge then applies the
-	// cross-channel decisions in canonical channel order. Results,
-	// telemetry series, and checkpoint bytes are bit-identical to serial
-	// mode (the equivalence suite asserts it). 0 and 1 mean serial.
-	// Strict mode always runs serially. Systems with Workers > 1 own
-	// pool goroutines: call Close when done. The FQMS_WORKERS
-	// environment variable, when set to an integer, overrides this
-	// field globally.
-	Workers int
 }
 
 // withDefaults fills zero-valued fields with Table 5 defaults.
@@ -245,11 +230,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if os.Getenv("FQMS_STRICT") != "" {
 		c.Strict = true
-	}
-	if v := os.Getenv("FQMS_WORKERS"); v != "" {
-		if w, err := strconv.Atoi(v); err == nil {
-			c.Workers = w
-		}
 	}
 	if os.Getenv("FQMS_AUDIT") != "" {
 		c.Audit = true
@@ -330,17 +310,6 @@ type System struct {
 	sampler   *metrics.Sampler
 	fair      *memctrl.FairnessMonitor
 	epochNext int64
-
-	// Intra-run parallelism (nil pool = serial). parTask is a persistent
-	// closure over the par* fields so the hot loop dispatches work with
-	// zero allocations: task indices [0, parNch) schedule one channel
-	// each (skipped when parSched is false), the rest advance one core
-	// each. See Step for the phase layout and why it is race-free.
-	pool     *par.Pool
-	parTask  func(int)
-	parNow   int64
-	parNch   int
-	parSched bool
 
 	snap baseline
 }
@@ -439,31 +408,13 @@ func New(cfg Config) (*System, error) {
 		s.epochNext = cfg.SampleInterval
 	}
 	ctrl.SetEventDriven(!cfg.Strict)
-	if !cfg.Strict && cfg.Workers > 1 {
-		s.parNch = ctrl.Channels()
-		width := s.parNch + n
-		w := cfg.Workers
-		if w > width {
-			w = width
-		}
-		s.pool = par.New(w)
-		s.parTask = func(i int) {
-			if s.parSched {
-				if i < s.parNch {
-					s.ctrl.ScheduleChannel(i, s.parNow)
-					return
-				}
-				i -= s.parNch
-			}
-			s.coreStep(i, s.parNow)
-		}
-	}
 	return s, nil
 }
 
-// Close releases the intra-run worker pool's goroutines; a no-op for
-// serial systems. The System must not be stepped afterwards.
-func (s *System) Close() { s.pool.Close() }
+// Close is a no-op: a System holds no goroutines or other resources
+// beyond memory. It is kept so callers may release a System
+// unconditionally.
+func (s *System) Close() {}
 
 // Sampler returns the epoch sampler (nil unless Config.SampleInterval
 // is set).
@@ -564,36 +515,9 @@ func (s *System) Step(n int64) {
 	end := s.cycle + n
 	for s.cycle < end {
 		now := s.cycle
-		if s.pool != nil {
-			// Parallel cycle. Phase 1 (serial): read completions and the
-			// virtual clock (TickBegin), which append response fills —
-			// never due this cycle, RespTransit >= 1. Phase 2 (one
-			// fork/join): every channel's bank scheduling and every
-			// core's cycle, concurrently — channels write only
-			// channel-partitioned controller state, cores only their own
-			// state, and neither reads what the other writes. Phase 3
-			// (serial): TickEnd applies the channel decisions in
-			// canonical channel order, then the acceptance attempts run
-			// in core order. The serial path below interleaves these
-			// phases per core/channel; the phases commute (cores never
-			// read controller state, accepts are the cores' only
-			// controller writes and stay in core order), so both paths
-			// are bit-identical.
-			s.parNow = now
-			s.parSched = s.ctrl.TickBegin(now)
-			ntasks := len(s.cores)
-			if s.parSched {
-				ntasks += s.parNch
-			}
-			s.pool.Run(ntasks, s.parTask)
-			if s.parSched {
-				s.ctrl.TickEnd(now)
-			}
-		} else {
-			s.ctrl.Tick(now)
-			for i := range s.cores {
-				s.coreStep(i, now)
-			}
+		s.ctrl.Tick(now)
+		for i := range s.cores {
+			s.coreStep(i, now)
 		}
 		for i := range s.cores {
 			// Offer due requests to the controller (one read and one
@@ -637,10 +561,7 @@ func (s *System) Step(n int64) {
 
 // coreStep advances core i through cycle now: deliver due fills, tick
 // the pipeline, and drain new misses and writebacks into the transit
-// queues. It touches only core i's state (core, hierarchy, and the
-// core's three queues), so distinct cores may step concurrently; the
-// acceptance attempts, which do mutate the controller, stay in Step's
-// serial tail.
+// queues. Acceptance by the controller happens afterwards, in Step.
 func (s *System) coreStep(i int, now int64) {
 	c := s.cores[i]
 	// Deliver due fills.

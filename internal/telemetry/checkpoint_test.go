@@ -10,15 +10,49 @@ import (
 	"time"
 )
 
+// testWait bounds every blocking wait in these tests, so a regression
+// fails in seconds instead of hanging until the test binary times out.
+const testWait = 5 * time.Second
+
+// waitWaiters blocks until exactly n requesters are registered on trig.
+func waitWaiters(t *testing.T, trig *CheckpointTrigger, n int) {
+	t.Helper()
+	deadline := time.Now().Add(testWait)
+	for {
+		trig.mu.Lock()
+		got := len(trig.waiters)
+		trig.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requesters registered, want %d", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// recvErr receives one requester outcome from ch.
+func recvErr(t *testing.T, ch <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-ch:
+		return err
+	case <-time.After(testWait):
+		t.Fatal("requester was never answered")
+		return nil
+	}
+}
+
 // TestCheckpointTriggerPoll covers the trigger's rendezvous: Poll is a
 // no-op when idle, services every blocked requester at once, and fans
 // the checkpoint's error out to all of them.
 func TestCheckpointTriggerPoll(t *testing.T) {
 	trig := NewCheckpointTrigger()
 
-	var calls atomic.Int64
-	trig.Poll(func() error { calls.Add(1); return nil })
-	if calls.Load() != 0 {
+	calls := 0
+	trig.Poll(func() error { calls++; return nil })
+	if calls != 0 {
 		t.Fatal("idle Poll ran the checkpoint function")
 	}
 
@@ -28,38 +62,24 @@ func TestCheckpointTriggerPoll(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func() { errs <- trig.Request(context.Background()) }()
 	}
-	// Poll until all requesters have registered; the loop mirrors the
-	// simulation loop calling Poll between step chunks.
-	deadline := time.After(5 * time.Second)
-	for calls.Load() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("Poll never saw the requests")
-		default:
-		}
-		trig.Poll(func() error { calls.Add(1); return nil })
-	}
+	waitWaiters(t, trig, n)
+	trig.Poll(func() error { calls++; return nil })
 	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
+		if err := recvErr(t, errs); err != nil {
 			t.Fatalf("requester %d: %v", i, err)
 		}
 	}
-	if calls.Load() != 1 {
-		t.Fatalf("checkpoint function ran %d times for one batch, want 1", calls.Load())
+	if calls != 1 {
+		t.Fatalf("checkpoint function ran %d times for one batch, want 1", calls)
 	}
 
 	// Errors propagate to the requester.
 	boom := errors.New("disk full")
 	done := make(chan error, 1)
 	go func() { done <- trig.Request(context.Background()) }()
-	for {
-		served := false
-		trig.Poll(func() error { served = true; return boom })
-		if served {
-			break
-		}
-	}
-	if err := <-done; !errors.Is(err, boom) {
+	waitWaiters(t, trig, 1)
+	trig.Poll(func() error { return boom })
+	if err := recvErr(t, done); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the checkpoint error", err)
 	}
 
@@ -118,7 +138,8 @@ func TestCheckpointEndpoint(t *testing.T) {
 		}
 	}()
 
-	resp, err = http.Post(srv.URL()+"/checkpoint", "", nil)
+	client := &http.Client{Timeout: testWait}
+	resp, err = client.Post(srv.URL()+"/checkpoint", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
