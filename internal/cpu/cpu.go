@@ -119,9 +119,7 @@ type Core struct {
 	// LoadsRetired and StoresRetired break down commits.
 	LoadsRetired, StoresRetired int64
 	// StallCycles counts cycles on which the ROB held instructions but
-	// none retired (the classic ROB-stall / commit-stall measure). The
-	// event-driven fast path credits skipped spans via CreditStall, so
-	// the count is identical in fast and strict modes.
+	// none retired (the classic ROB-stall / commit-stall measure).
 	StallCycles int64
 }
 
@@ -221,16 +219,6 @@ func (c *Core) Tick(now int64) {
 	c.drainStores()
 	c.issueLoads(now)
 	c.dispatch(now)
-}
-
-// CreditStall accounts n skipped cycles as ROB stalls when the ROB is
-// non-empty. The event-driven system simulator calls it for the span it
-// skips past a core: a skipped cycle is by construction one on which
-// Tick would have made no progress, so a non-empty ROB retires nothing.
-func (c *Core) CreditStall(n int64) {
-	if c.count > 0 {
-		c.StallCycles += n
-	}
 }
 
 func (c *Core) retire(now int64) {
@@ -421,58 +409,6 @@ func (c *Core) dispatch(now int64) {
 			e.completeAt = depAt + int64(e.lat)
 		}
 	}
-}
-
-// Forever is the NextWork sentinel for "blocked until a memory fill":
-// no amount of waiting will make Tick progress without external input.
-const Forever = int64(1) << 62
-
-// NextWork returns a conservative bound on the earliest cycle >= from at
-// which Tick can make progress: `from` itself when the core is busy, a
-// later cycle when every pipeline stage is waiting on a known time, and
-// Forever when all stages are blocked on a memory fill. The bound is
-// safe to cache until the next OnFill: between fills the core's inputs
-// change only with its own ticks.
-func (c *Core) NextWork(from int64) int64 {
-	// Dispatch: runs every cycle unless stalled on an ifetch fill, an
-	// MSHR-full ifetch NACK, or a full ROB.
-	if c.tokenStall < 0 && !c.ifetchNACK && int(c.count) < c.cfg.ROB {
-		return from
-	}
-	// Stores: the drain probes the cache every cycle while unparked.
-	if len(c.storeBuf) > 0 && !c.storeNACK {
-		return from
-	}
-	next := Forever
-	// Retire: the oldest instruction completes at a known cycle, unless
-	// it is unresolved (waiting on a fill) or a store stalled on a full
-	// store buffer (which drains only after a fill, handled above).
-	if c.count > 0 {
-		e := &c.rob[c.head]
-		if e.completeAt != unresolved &&
-			!(e.kind == trace.KindStore && len(c.storeBuf) >= c.cfg.StoreBuffer) {
-			if e.completeAt <= from {
-				return from
-			}
-			next = e.completeAt
-		}
-	}
-	// Loads: queued entries become issuable at known ready times; parked
-	// NACKs and a full load queue clear only on a fill.
-	if c.inFlight < c.cfg.LoadQueue {
-		for i, r := range c.issueRdy {
-			if c.issueNACK[i] {
-				continue
-			}
-			if r <= from {
-				return from
-			}
-			if r < next {
-				next = r
-			}
-		}
-	}
-	return next
 }
 
 // Drained reports whether the core has no in-flight memory activity

@@ -30,8 +30,8 @@ import (
 //
 // Like the metrics registry, the monitor is write-only from the
 // simulation's point of view: Sample is called on the simulation
-// goroutine at epoch boundaries (sim.Step clamps its skip-ahead), and
-// everything concurrent readers touch is mutex-guarded.
+// goroutine at epoch boundaries, and everything concurrent readers
+// touch is mutex-guarded.
 
 // FairnessSample is one epoch of per-thread service accounting. All
 // slices are indexed by hardware thread.

@@ -96,17 +96,12 @@ type InterferenceSnapshot struct {
 // intfReady is a request that was ready at the current cycle; whether
 // and to whom its current cycle is charged depends on the channel's
 // decision, so the charge is resolved once the decision is applied.
+// hold is the thread the request's bank scheduler selected, charged
+// when the channel issues nothing.
 type intfReady struct {
 	slot   int32
 	victim int32
-}
-
-// intfHold records that the ready entries staged at index base and
-// beyond belong to a bank the scheduler is holding for the given
-// thread; drain consults it only on ticks where no command issued.
-type intfHold struct {
-	base   int32
-	thread int32
+	hold   int32
 }
 
 // attrState packs a slot's two hot accounting fields on one cache
@@ -136,13 +131,10 @@ type intfTracker struct {
 	baseline []int64
 
 	// Staging for the channel being scheduled, emptied by drain. stage
-	// is cube-shaped; touched lists its nonzero cells. polCnt is
-	// drain's per-victim scratch.
+	// is cube-shaped; touched lists its nonzero cells.
 	stage   []int64
 	touched []int32
 	ready   []intfReady
-	holds   []intfHold
-	polCnt  []int64
 
 	// Registry mirrors (nil without a registry): real counters bumped
 	// by drain's fold so the epoch sampler sees counter deltas.
@@ -174,8 +166,6 @@ func newIntfTracker(c *Controller, reg *metrics.Registry) *intfTracker {
 		stage:    make([]int64, cells),
 		touched:  make([]int32, 0, cells),
 		ready:    make([]intfReady, 0, nslots+4),
-		holds:    make([]intfHold, 0, c.cfg.DRAM.Ranks*c.cfg.DRAM.BanksPerRank+1),
-		polCnt:   make([]int64, threads),
 	}
 	if reg != nil {
 		t.pairCtr = make([]*metrics.Counter, threads*aggrs)
@@ -287,10 +277,8 @@ func (t *intfTracker) exam(ch *dram.Channel, slot int32, victim int, kind dram.K
 // bank appended this cycle, once the bank's key-selected request is
 // known (entries [base:] belong to the bank just scheduled).
 func (t *intfTracker) patchFallback(base, thread int) {
-	if base < len(t.ready) {
-		t.holds = append(t.holds, intfHold{
-			base: int32(base), thread: int32(thread),
-		})
+	for i := base; i < len(t.ready); i++ {
+		t.ready[i].hold = int32(thread)
 	}
 }
 
@@ -302,62 +290,36 @@ func (t *intfTracker) readyBase() int { return len(t.ready) }
 // into the global matrix and its registry mirrors. Tick calls it for
 // each channel right after applying the channel's decision.
 func (t *intfTracker) drain(c *Controller, chIdx int, d *decision, now int64) {
-	ready := t.ready
-	if len(ready) > 0 {
-		switch {
-		case d.kind == decCmd:
-			// Skipped cycles charged to the thread the channel served
-			// instead; the winner's own cycle is its service start (CAS)
-			// or progress (ACT/PRE), not a wait. One (victim, winner,
-			// policy) cell per victim: count, then fold once.
-			issued := d.cand.slot
-			winner := t.threads // "none": an idle-close precharge won
-			if issued != noSlot {
-				winner = c.arena[issued].Thread
-			}
-			for i := range ready {
-				e := &ready[i]
-				if e.slot == issued {
-					continue
-				}
-				a := &t.attr[e.slot]
-				a.total++
-				a.from = now + 1
-				t.attrBy[int(e.slot)*t.aggrs+winner]++
-				t.polCnt[e.victim]++
-			}
-			for v, n := range t.polCnt {
-				if n != 0 {
-					t.polCnt[v] = 0
-					t.stageAdd((v*t.aggrs+winner)*numCauses+causePolicy, n)
-				}
-			}
-		case d.kind == decRefresh || c.refreshWanted[chIdx]:
-			for i := range ready {
-				e := &ready[i]
-				t.charge(e.slot, int(e.victim), t.threads, causeRefresh, 1)
-				t.attr[e.slot].from = now + 1
-			}
-		default:
-			// No command issued: a strict key rule is holding every
-			// offering bank for a not-yet-ready request; charge the
-			// thread the victim's bank is held for (recorded per bank in
-			// the hold ranges).
-			holds := t.holds
-			aggr := t.threads
-			for i, h := 0, 0; i < len(ready); i++ {
-				for h < len(holds) && int(holds[h].base) <= i {
-					aggr = int(holds[h].thread)
-					h++
-				}
-				e := &ready[i]
-				t.charge(e.slot, int(e.victim), aggr, causePolicy, 1)
-				t.attr[e.slot].from = now + 1
-			}
+	// Every ready request the channel did not issue waited this cycle:
+	// charge it to the thread the channel served instead (the winner's
+	// own cycle is its service start or progress, not a wait), to
+	// refresh, or — when nothing issued because a strict key rule holds
+	// the bank for a not-yet-ready request — to the thread the bank is
+	// held for.
+	issued, held := noSlot, false
+	aggr, cause := t.threads, causePolicy // "none": an idle-close precharge won
+	switch {
+	case d.kind == decCmd:
+		issued = d.cand.slot
+		if issued != noSlot {
+			aggr = c.arena[issued].Thread
 		}
-		t.ready = ready[:0]
+	case d.kind == decRefresh || c.refreshWanted[chIdx]:
+		cause = causeRefresh
+	default:
+		held = true
 	}
-	t.holds = t.holds[:0]
+	for _, e := range t.ready {
+		if e.slot == issued {
+			continue
+		}
+		if held {
+			aggr = int(e.hold)
+		}
+		t.charge(e.slot, int(e.victim), aggr, cause, 1)
+		t.attr[e.slot].from = now + 1
+	}
+	t.ready = t.ready[:0]
 
 	touched := t.touched
 	if len(touched) == 0 {

@@ -512,12 +512,6 @@ func (c *Controller) SetEventDriven(on bool) {
 	c.InvalidateScheduling()
 }
 
-// NextEventAt returns a conservative lower bound on the next cycle at
-// which the controller can complete a read, change refresh state, or
-// issue a command. Ticks strictly before it are no-ops (apart from the
-// virtual clock), which System.Step exploits to skip ahead.
-func (c *Controller) NextEventAt() int64 { return c.nextEvent }
-
 // InvalidateScheduling discards every cached wake time, forcing the
 // next Tick to re-examine all banks. Callers must invoke it after any
 // out-of-band change that can affect scheduling decisions, e.g. a
@@ -553,41 +547,6 @@ func (c *Controller) allocSlot() int32 {
 // AfterIssue for writes.
 func (c *Controller) freeSlot(s int32) {
 	c.freeSlots = append(c.freeSlots, s)
-}
-
-// CanAccept reports whether Accept would succeed for the thread right
-// now (buffer occupancy only; it never NACK-counts). Occupancy changes
-// only at controller event cycles — reads free their entry when the
-// data burst completes, writes when the write command issues — so a
-// false result stays false until NextEventAt.
-func (c *Controller) CanAccept(thread int, isWrite bool) bool {
-	if isWrite {
-		if c.cfg.SharedBuffers {
-			return c.writeOccTotal < c.cfg.WriteEntriesPerThread*c.cfg.Threads
-		}
-		return c.writeOcc[thread] < c.cfg.WriteEntriesPerThread
-	}
-	if c.cfg.SharedBuffers {
-		return c.readOccTotal < c.cfg.ReadEntriesPerThread*c.cfg.Threads
-	}
-	return c.readOcc[thread] < c.cfg.ReadEntriesPerThread
-}
-
-// SkipTo credits the virtual clock for the skipped cycles [from, to),
-// exactly as if Tick had run for each: vclock advances on every cycle
-// channel 0 is not refreshing. Callers guarantee the span contains no
-// controller event (to <= NextEventAt), so the refresh window active at
-// from is the only one overlapping the span.
-func (c *Controller) SkipTo(from, to int64) {
-	n := to - from
-	if ru := c.chans[0].RefreshEndsAt(); ru > from {
-		end := ru
-		if to < end {
-			end = to
-		}
-		n -= end - from
-	}
-	c.vclock += n
 }
 
 // Accept offers a request to the controller at cycle now. It returns

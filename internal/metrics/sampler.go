@@ -4,10 +4,9 @@ import "sync"
 
 // The epoch sampler turns the registry's cumulative metrics into a
 // bounded time series. The simulator calls Sample on epoch boundaries
-// (exact multiples of the configured cycle interval — sim.Step clamps
-// its event-driven skip-ahead to the next boundary, so no per-cycle
-// work is reintroduced); each call snapshots the registry, differences
-// it against the previous epoch, and appends one Sample to a ring.
+// (exact multiples of the configured cycle interval); each call
+// snapshots the registry, differences it against the previous epoch,
+// and appends one Sample to a ring.
 //
 // Concurrency contract: Sample and NextSampleAt are called only from
 // the simulation goroutine, which is also the only mutator of the
@@ -115,8 +114,8 @@ func NewSampler(reg *Registry, cfg SamplerConfig) *Sampler {
 // Interval returns the epoch length in cycles.
 func (s *Sampler) Interval() int64 { return s.interval }
 
-// NextSampleAt returns the next epoch boundary. The simulation clamps
-// its skip-ahead to it so Sample is invoked at exactly that cycle.
+// NextSampleAt returns the next epoch boundary; the simulation calls
+// Sample when its cycle counter reaches it.
 func (s *Sampler) NextSampleAt() int64 { return s.nextAt }
 
 // Sample snapshots the registry at the given cycle and appends the

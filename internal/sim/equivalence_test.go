@@ -6,19 +6,39 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/memctrl"
 	"repro/internal/trace"
 )
 
 // controllerFingerprint captures every observable controller outcome
-// beyond the Result struct: the virtual clock and the per-kind SDRAM
-// command counts.
+// beyond the Result struct: the virtual clock, the per-kind SDRAM
+// command counts, and each thread's read and write NACK counts (every
+// cycle retries a NACKed head, so these count acceptance attempts the
+// controller's idle-skipping must not elide).
 type controllerFingerprint struct {
-	VClock   int64
-	Commands [6]int64
+	VClock     int64
+	Commands   [6]int64
+	ReadNACKs  []int64
+	WriteNACKs []int64
 }
 
-// TestEventDrivenEquivalence is the tentpole's oracle: the event-driven
-// skip-ahead path must reproduce the strict per-cycle path bit for bit.
+// fingerprint reads a controller's fingerprint.
+func fingerprint(ctrl *memctrl.Controller) controllerFingerprint {
+	fp := controllerFingerprint{VClock: ctrl.VClock()}
+	for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
+		fp.Commands[k] = ctrl.CommandCount(k)
+	}
+	for i := 0; i < ctrl.Threads(); i++ {
+		st := ctrl.Stats(i)
+		fp.ReadNACKs = append(fp.ReadNACKs, st.ReadNACKs)
+		fp.WriteNACKs = append(fp.WriteNACKs, st.WriteNACKs)
+	}
+	return fp
+}
+
+// TestEventDrivenEquivalence is the tentpole's oracle: the controller's
+// event-driven scheduling (per-bank wakes and the next-event early-out)
+// must reproduce the strict per-cycle scan bit for bit.
 // A 2-core art+vpr mix (one bandwidth hog, one latency-sensitive
 // thread) runs for over 200k cycles — through multiple refresh windows
 // (tREF = 280k with warmup plus window) — under every policy, including
@@ -69,10 +89,7 @@ func TestEventDrivenEquivalence(t *testing.T) {
 				s.BeginMeasurement()
 				s.Step(window)
 				ctrl := s.Controller()
-				fp := controllerFingerprint{VClock: ctrl.VClock()}
-				for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
-					fp.Commands[k] = ctrl.CommandCount(k)
-				}
+				fp := fingerprint(ctrl)
 				return s.Results(), fp
 			}
 			fast, fastFP := run(false)
@@ -80,7 +97,7 @@ func TestEventDrivenEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(fast, strict) {
 				t.Errorf("Result diverges:\n fast:   %+v\n strict: %+v", fast, strict)
 			}
-			if fastFP != strictFP {
+			if !reflect.DeepEqual(fastFP, strictFP) {
 				t.Errorf("controller state diverges:\n fast:   %+v\n strict: %+v", fastFP, strictFP)
 			}
 		})
@@ -137,7 +154,7 @@ func TestEquivalenceWithSharesAndRefresh(t *testing.T) {
 // TestEquivalenceSetShareInsideRefresh reassigns shares at a cycle where
 // a refresh is actually in progress — the virtual clock is paused and
 // the fast path's next-event estimate was computed under the old keys —
-// and demands the skip-ahead path still match the strict oracle bit for
+// and demands the event-driven path still match the strict oracle bit for
 // bit. tREF is shrunk to 7k cycles so the run crosses dozens of refresh
 // windows, and both runs carry the invariant auditor. The SetShare
 // cycles themselves are part of the fingerprint: each run hunts for its
@@ -192,10 +209,7 @@ func TestEquivalenceSetShareInsideRefresh(t *testing.T) {
 		s.Step(40_000)
 		s.FinishAudit()
 		ctrl := s.Controller()
-		fp := controllerFingerprint{VClock: ctrl.VClock()}
-		for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
-			fp.Commands[k] = ctrl.CommandCount(k)
-		}
+		fp := fingerprint(ctrl)
 		return s.Results(), fp, shareAt
 	}
 	fast, fastFP, fastAt := run(false)
@@ -206,7 +220,7 @@ func TestEquivalenceSetShareInsideRefresh(t *testing.T) {
 	if !reflect.DeepEqual(fast, strict) {
 		t.Errorf("Result diverges:\n fast:   %+v\n strict: %+v", fast, strict)
 	}
-	if fastFP != strictFP {
+	if !reflect.DeepEqual(fastFP, strictFP) {
 		t.Errorf("controller state diverges:\n fast:   %+v\n strict: %+v", fastFP, strictFP)
 	}
 	if fastFP.Commands[dram.KindRefresh] < 10 {
@@ -219,7 +233,7 @@ func TestEquivalenceSetShareInsideRefresh(t *testing.T) {
 // bank, but the virtual clock only pauses for channel 0's refresh, so
 // wake estimates on the other channels are conservative lower bounds.
 // At 2 and 4 channels, through many short refresh windows and a mid-run
-// share reassignment, the skip-ahead path must still reproduce the
+// share reassignment, the event-driven path must still reproduce the
 // strict oracle exactly — the approximation may cost wake-ups, never
 // correctness. Both runs carry the invariant auditor.
 func TestEquivalenceMultiChannelBankWake(t *testing.T) {
@@ -258,10 +272,7 @@ func TestEquivalenceMultiChannelBankWake(t *testing.T) {
 			s.Step(100_000)
 			s.FinishAudit()
 			ctrl := s.Controller()
-			fp := controllerFingerprint{VClock: ctrl.VClock()}
-			for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
-				fp.Commands[k] = ctrl.CommandCount(k)
-			}
+			fp := fingerprint(ctrl)
 			return s.Results(), fp
 		}
 		fast, fastFP := run(false)
@@ -269,7 +280,7 @@ func TestEquivalenceMultiChannelBankWake(t *testing.T) {
 		if !reflect.DeepEqual(fast, strict) {
 			t.Errorf("channels=%d: Result diverges:\n fast:   %+v\n strict: %+v", channels, fast, strict)
 		}
-		if fastFP != strictFP {
+		if !reflect.DeepEqual(fastFP, strictFP) {
 			t.Errorf("channels=%d: controller state diverges:\n fast:   %+v\n strict: %+v", channels, fastFP, strictFP)
 		}
 		if fastFP.Commands[dram.KindRefresh] == 0 {

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/trace"
 )
@@ -90,10 +89,7 @@ func TestInterferenceObservationOnly(t *testing.T) {
 				s.Step(window)
 				s.FinishAudit()
 				ctrl := s.Controller()
-				fp := controllerFingerprint{VClock: ctrl.VClock()}
-				for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
-					fp.Commands[k] = ctrl.CommandCount(k)
-				}
+				fp := fingerprint(ctrl)
 				snap, _ := s.Interference()
 				return s.Results(), fp, snap
 			}
@@ -104,7 +100,7 @@ func TestInterferenceObservationOnly(t *testing.T) {
 				if !reflect.DeepEqual(off, on) {
 					t.Errorf("%s: attribution changed the Result:\n off: %+v\n on:  %+v", m.name, off, on)
 				}
-				if offFP != onFP {
+				if !reflect.DeepEqual(offFP, onFP) {
 					t.Errorf("%s: attribution changed the controller state:\n off: %+v\n on:  %+v", m.name, offFP, onFP)
 				}
 				if snap.Total <= 0 {

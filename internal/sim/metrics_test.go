@@ -60,10 +60,7 @@ func TestMetricsEquivalence(t *testing.T) {
 		s.BeginMeasurement()
 		s.Step(window)
 		ctrl := s.Controller()
-		fp := controllerFingerprint{VClock: ctrl.VClock()}
-		for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
-			fp.Commands[k] = ctrl.CommandCount(k)
-		}
+		fp := fingerprint(ctrl)
 		var readsDone int64
 		for i := 0; i < 2; i++ {
 			readsDone += ctrl.Stats(i).ReadsDone
@@ -84,14 +81,14 @@ func TestMetricsEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(base.res, inst.res) {
 		t.Errorf("metrics+trace changed the Result:\n off: %+v\n on:  %+v", base.res, inst.res)
 	}
-	if base.fp != inst.fp {
+	if !reflect.DeepEqual(base.fp, inst.fp) {
 		t.Errorf("metrics+trace changed controller state:\n off: %+v\n on:  %+v", base.fp, inst.fp)
 	}
-	if !reflect.DeepEqual(base.res, strictInst.res) || base.fp != strictInst.fp {
+	if !reflect.DeepEqual(base.res, strictInst.res) || !reflect.DeepEqual(base.fp, strictInst.fp) {
 		t.Errorf("instrumented strict run diverges:\n off:    %+v %+v\n strict: %+v %+v",
 			base.res, base.fp, strictInst.res, strictInst.fp)
 	}
-	if !reflect.DeepEqual(base.res, sampledOut.res) || base.fp != sampledOut.fp {
+	if !reflect.DeepEqual(base.res, sampledOut.res) || !reflect.DeepEqual(base.fp, sampledOut.fp) {
 		t.Errorf("epoch-sampled run diverges:\n off:     %+v %+v\n sampled: %+v %+v",
 			base.res, base.fp, sampledOut.res, sampledOut.fp)
 	}

@@ -105,8 +105,9 @@ type Config struct {
 	// Seed perturbs the trace generators deterministically.
 	Seed uint64
 
-	// Strict disables the event-driven fast path and runs the seed's
-	// exhaustive cycle-by-cycle loop. Simulated results are identical
+	// Strict disables the controller's event-driven scheduling (its
+	// per-bank wake times and next-event early-out) and runs the seed's
+	// exhaustive per-cycle bank scan. Simulated results are identical
 	// either way (the equivalence tests assert it); strict mode exists
 	// as a cross-check oracle and a debugging aid. The FQMS_STRICT
 	// environment variable (any non-empty value) forces it globally.
@@ -128,8 +129,7 @@ type Config struct {
 	// the /interference telemetry endpoint, and the per-run
 	// .interference.json artifact). Observation-only: results, series,
 	// and checkpoint-restored continuations are bit-identical with or
-	// without. The FQMS_INTERFERENCE environment variable (any
-	// non-empty value) forces it globally.
+	// without.
 	Interference bool
 
 	// Metrics, when non-nil, registers the whole stack's observability
@@ -149,11 +149,9 @@ type Config struct {
 	// snapshots the registry every SampleInterval cycles (per-epoch
 	// counter and histogram deltas in a bounded ring) and a
 	// memctrl.FairnessMonitor scores each thread's service share
-	// against its phi. Samples land on exact interval multiples: the
-	// event-driven skip-ahead clamps to the next boundary instead of
-	// re-running per-cycle work. A registry is created automatically
-	// when Metrics is nil. Purely observational: results are
-	// bit-identical with sampling on or off.
+	// against its phi. Samples land on exact interval multiples. A
+	// registry is created automatically when Metrics is nil. Purely
+	// observational: results are bit-identical with sampling on or off.
 	SampleInterval int64
 
 	// SampleCapacity bounds the retained epochs per series (0 selects
@@ -237,9 +235,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Audit {
 		c.Mem.Audit = true
 	}
-	if os.Getenv("FQMS_INTERFERENCE") != "" {
-		c.Interference = true
-	}
 	if c.Interference {
 		c.Mem.Interference = true
 	}
@@ -304,9 +299,8 @@ type System struct {
 	latHist []*metrics.Histogram
 
 	// Epoch telemetry (nil/noEpoch when Config.SampleInterval is 0):
-	// sampler and fair are sampled when the cycle counter crosses
-	// epochNext, and nextWake clamps skip-ahead jumps to that boundary
-	// so samples land on exact interval multiples.
+	// sampler and fair are sampled when the cycle counter reaches
+	// epochNext, so samples land on exact interval multiples.
 	sampler   *metrics.Sampler
 	fair      *memctrl.FairnessMonitor
 	epochNext int64
@@ -504,13 +498,11 @@ func (s *System) SetShare(thread int, share core.Share) bool {
 // Cycle returns the current cycle.
 func (s *System) Cycle() int64 { return s.cycle }
 
-// Step advances the system by n cycles. Unless Config.Strict is set it
-// uses an event-driven fast path: after fully simulating a cycle, it
-// computes the earliest future cycle at which any component can act —
-// a transit-queue delivery, a core with issuable work (cpu.NextWork),
-// or a controller event (memctrl.NextEventAt) — and jumps the clock
-// there, batch-crediting the skipped cycles to the virtual clock.
-// Simulated results are bit-identical to the strict per-cycle loop.
+// Step advances the system by n cycles, one cycle at a time: the
+// controller ticks, then each core, then each core's due transit-queue
+// heads are offered to the controller. Idle-skipping happens inside the
+// controller (per-bank wake times and its next-event early-out) unless
+// Config.Strict selects the exhaustive per-cycle scan.
 func (s *System) Step(n int64) {
 	end := s.cycle + n
 	for s.cycle < end {
@@ -531,25 +523,6 @@ func (s *System) Step(n int64) {
 				if s.ctrl.Accept(i, e.addr, true, now) {
 					s.wbQ[i].pop()
 				}
-			}
-		}
-
-		if !s.cfg.Strict {
-			if wake := s.nextWake(now, end); wake > now+1 {
-				// No component can act before wake: credit the virtual
-				// clock for the skipped span and jump. Skipped cycles
-				// retire nothing by construction, so they are ROB stalls
-				// for any core holding instructions (matching the strict
-				// per-cycle accounting).
-				s.ctrl.SkipTo(now+1, wake)
-				for _, c := range s.cores {
-					c.CreditStall(wake - now - 1)
-				}
-				s.cycle = wake
-				if s.cycle >= s.epochNext {
-					s.takeSamples()
-				}
-				continue
 			}
 		}
 		s.cycle++
@@ -597,64 +570,6 @@ func (s *System) coreStep(i int, now int64) {
 		h.WritebackAccepted()
 		s.wbQ[i].push(timedAddr{addr: addr, at: now + int64(s.cfg.ReqTransit)})
 	}
-}
-
-// nextWake returns the earliest cycle in (now, end] at which any core or
-// the controller can make progress, given that cycle now has been fully
-// simulated. It is conservative: returning now+1 is always safe (no
-// skip), and any later value must be provably dormant in between.
-func (s *System) nextWake(now, end int64) int64 {
-	wake := end
-	for i, c := range s.cores {
-		// Pending fills: delivery times are monotone, so the head bounds
-		// the queue.
-		if e, ok := s.respQ[i].peek(); ok {
-			if e.at <= now+1 {
-				return now + 1
-			}
-			if e.at < wake {
-				wake = e.at
-			}
-		}
-		// Pending requests toward the controller. A due head that the
-		// controller would NACK is ignored here: buffer occupancy only
-		// changes at controller event cycles, which NextEventAt covers.
-		if e, ok := s.fetchQ[i].peek(); ok && s.ctrl.CanAccept(i, false) {
-			if e.at <= now+1 {
-				return now + 1
-			}
-			if e.at < wake {
-				wake = e.at
-			}
-		}
-		if e, ok := s.wbQ[i].peek(); ok && s.ctrl.CanAccept(i, true) {
-			if e.at <= now+1 {
-				return now + 1
-			}
-			if e.at < wake {
-				wake = e.at
-			}
-		}
-		// The core itself: retirement, load issue, store drain, dispatch.
-		if w := c.NextWork(now + 1); w <= now+1 {
-			return now + 1
-		} else if w < wake {
-			wake = w
-		}
-	}
-	if w := s.ctrl.NextEventAt(); w < wake {
-		wake = w
-	}
-	// Telemetry epoch boundary: stop the jump there so samples land on
-	// exact interval multiples. Waking early is always safe; sampling
-	// reads state without changing it.
-	if s.epochNext < wake {
-		wake = s.epochNext
-	}
-	if wake < now+1 {
-		return now + 1
-	}
-	return wake
 }
 
 // snapshot captures cumulative counters at the start of a measurement

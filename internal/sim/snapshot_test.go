@@ -32,12 +32,7 @@ func captureRun(t *testing.T, s *System) runState {
 	t.Helper()
 	st := runState{
 		Result: s.Results(),
-		Ctrl: controllerFingerprint{
-			VClock: s.Controller().VClock(),
-		},
-	}
-	for k := 0; k < 6; k++ {
-		st.Ctrl.Commands[k] = s.Controller().CommandCount(dram.Kind(k))
+		Ctrl:   fingerprint(s.Controller()),
 	}
 	if s.Sampler() != nil {
 		st.Epochs = s.Sampler().Samples(-1)
@@ -86,7 +81,7 @@ func compareRuns(t *testing.T, name string, got, want runState) {
 		t.Errorf("Result diverged\n got: %+v\nwant: %+v", got.Result, want.Result)
 		bad = true
 	}
-	if got.Ctrl != want.Ctrl {
+	if !reflect.DeepEqual(got.Ctrl, want.Ctrl) {
 		t.Errorf("controller fingerprint diverged\n got: %+v\nwant: %+v", got.Ctrl, want.Ctrl)
 		bad = true
 	}
@@ -119,8 +114,8 @@ func compareRuns(t *testing.T, name string, got, want runState) {
 // observable — Result, virtual clock, command counts, epoch and
 // fairness series, and the complete final process state — must be
 // bit-identical. The checkpoint lands at an odd cycle inside the
-// measurement window, so it cuts skip-ahead spans and a live
-// measurement baseline, not just quiescent boundaries.
+// measurement window, so it cuts the controller's cached bank wakes
+// and a live measurement baseline, not just quiescent boundaries.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	art, err := trace.ByName("art")
 	if err != nil {
