@@ -40,7 +40,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/memctrl"
+	"repro/internal/exp"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -61,14 +61,13 @@ func main() {
 		auditOn   = flag.Bool("audit", false, "run the invariant auditor (panic on any violation)")
 		intfOn    = flag.Bool("interference", false, "attribute every wait cycle to a cause and aggressor thread (observation-only; adds the /interference endpoint under -serve)")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event timeline to this file")
-		metaOut   = flag.String("metrics", "", "alias of -metrics-out (kept for compatibility)")
-		metaOut2  = flag.String("metrics-out", "", "write a JSON metrics dump to this file")
+		metaOut   = flag.String("metrics-out", "", "write a JSON metrics dump to this file")
 		sampleInt = flag.Int64("sample-interval", 0, "epoch sampling interval in cycles (0 = auto: 10000 when -serve or -series-out is used, else off)")
 		seriesOut = flag.String("series-out", "", "write the epoch time series (metrics + fairness) as JSON to this file")
 		serveAddr = flag.String("serve", "", "serve live status over HTTP on this address while the simulation runs (e.g. 127.0.0.1:9300)")
 		serveFor  = flag.Duration("serve-for", 0, "keep the status server up this long after the run finishes")
 		ckptPath  = flag.String("checkpoint", "", "write checkpoints of the full simulator state to this file")
-		ckptEvery = flag.Int64("checkpoint-every", 0, "write a checkpoint every N cycles (0 = only on POST /checkpoint via -serve)")
+		ckptEvery = flag.Int64("checkpoint-every", 0, "write a checkpoint every N cycles and at the end of warmup (0 = only on POST /checkpoint via -serve)")
 		restore   = flag.String("restore", "", "resume from a checkpoint file written by -checkpoint (config must match)")
 	)
 	flag.Parse()
@@ -94,9 +93,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *metaOut != "" && *metaOut2 != "" && *metaOut != *metaOut2 {
-		fail(fmt.Errorf("-metrics and -metrics-out name different files"))
-	}
 	if (*ckptPath != "" || *restore != "") && *traceOut != "" {
 		// A Chrome trace is an append-only log of everything since cycle
 		// zero; a restored run cannot recreate the events it missed, so
@@ -105,9 +101,6 @@ func main() {
 	}
 	if *ckptEvery > 0 && *ckptPath == "" {
 		fail(fmt.Errorf("-checkpoint-every needs -checkpoint"))
-	}
-	if *metaOut2 != "" {
-		*metaOut = *metaOut2
 	}
 
 	names := strings.Split(*workload, ",")
@@ -210,18 +203,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fqsim: status server on %s\n", srv.URL())
 	}
 
-	// The run is one chunked loop over absolute cycles so that a
-	// restored run (which starts mid-flight) and a fresh run share the
-	// same path. Chunking keeps the progress endpoint live and bounds
-	// how long an on-demand checkpoint request waits; it cannot change
-	// results (Step(n) twice is Step(2n)). Chunks are clamped to the
-	// measurement boundary so BeginMeasurement always lands exactly at
-	// the warmup cycle — and therefore at the same cycle in any run of
-	// this configuration, checkpointed or not.
-	total := *warmup + *window
-	nextCkpt := int64(-1)
-	if *ckptPath != "" && *ckptEvery > 0 {
-		nextCkpt = s.Cycle() + *ckptEvery
+	// The run is one sim.RunTo call, so a restored run (which starts
+	// mid-flight) and a fresh run share the same path. Chunking keeps
+	// the progress endpoint live and bounds how long an on-demand
+	// checkpoint request waits; it cannot change results. Periodic
+	// checkpoints land at every chunk end, the warmup boundary
+	// included.
+	chunk := *ckptEvery
+	if chunk <= 0 {
+		chunk = 100_000
 	}
 	writeCkpt := func() error {
 		if err := s.CheckpointFile(*ckptPath); err != nil {
@@ -230,38 +220,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fqsim: checkpoint at cycle %d -> %s\n", s.Cycle(), *ckptPath)
 		return nil
 	}
-	for s.Cycle() < total {
-		const chunk = 100_000
-		next := s.Cycle() + chunk
-		if !s.MeasurementStarted() && next > *warmup {
-			next = *warmup
+	credited := s.Cycle()
+	credit := func() {
+		if prog != nil {
+			prog.AddCycles(s.Cycle() - credited)
 		}
-		if nextCkpt > 0 && next > nextCkpt {
-			next = nextCkpt
-		}
-		if next > total {
-			next = total
-		}
-		if n := next - s.Cycle(); n > 0 {
-			s.Step(n)
-			if prog != nil {
-				prog.AddCycles(n)
-			}
-		}
-		if !s.MeasurementStarted() && s.Cycle() >= *warmup {
-			s.BeginMeasurement()
-		}
-		if nextCkpt > 0 && s.Cycle() >= nextCkpt {
+		credited = s.Cycle()
+	}
+	err = s.RunTo(*warmup, *warmup+*window, chunk, func() error {
+		credit()
+		if *ckptEvery > 0 {
 			if err := writeCkpt(); err != nil {
-				fail(fmt.Errorf("checkpoint: %w", err))
+				return fmt.Errorf("checkpoint: %w", err)
 			}
-			nextCkpt = s.Cycle() + *ckptEvery
 		}
 		if trig != nil {
 			trig.Poll(writeCkpt)
 		}
+		return nil
+	})
+	if err != nil {
+		fail(err)
 	}
-	s.FinishAudit()
+	credit()
 	res := s.Results()
 	if prog != nil {
 		prog.Finish(*workload)
@@ -286,7 +267,15 @@ func main() {
 		}
 	}
 	if *seriesOut != "" {
-		if err := writeSeriesFile(*seriesOut, s); err != nil {
+		f, err := os.Create(*seriesOut)
+		if err != nil {
+			fail(err)
+		}
+		err = exp.WriteSeriesJSON(f, *workload, s)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fail(fmt.Errorf("series: %w", err))
 		}
 	}
@@ -335,38 +324,6 @@ func main() {
 			fail(fmt.Errorf("server shutdown: %w", err))
 		}
 	}
-}
-
-// writeSeriesFile dumps the run's epoch time series — per-interval
-// metric deltas plus the fairness series — as one self-describing JSON
-// document.
-func writeSeriesFile(path string, s *sim.System) error {
-	var doc struct {
-		Interval int64            `json:"interval"`
-		Epochs   int64            `json:"epochs"`
-		Samples  []metrics.Sample `json:"samples"`
-		Fairness struct {
-			Summary memctrl.FairnessSummary  `json:"summary"`
-			Samples []memctrl.FairnessSample `json:"samples"`
-		} `json:"fairness"`
-	}
-	doc.Interval = s.Sampler().Interval()
-	doc.Epochs = s.Sampler().Epochs()
-	doc.Samples = s.Sampler().Samples(-1)
-	doc.Fairness.Summary = s.Fairness().Summary()
-	doc.Fairness.Samples = s.Fairness().Samples(-1)
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // parseShare parses "num/den" or a bare integer percentage like "25".

@@ -1,11 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
+	"repro/internal/exp"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -45,9 +45,9 @@ func TestParseShare(t *testing.T) {
 	}
 }
 
-// TestWriteSeriesFile drives the -series-out path against a real
-// sampled run and checks the document round-trips with the expected
-// epoch count.
+// TestWriteSeriesFile drives the -series-out path (exp's shared series
+// encoder) against a real sampled run and checks the document
+// round-trips with the expected epoch count and labels.
 func TestWriteSeriesFile(t *testing.T) {
 	art, err := trace.ByName("art")
 	if err != nil {
@@ -61,16 +61,14 @@ func TestWriteSeriesFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "out.series.json")
-	if err := writeSeriesFile(path, s); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := exp.WriteSeriesJSON(&buf, "art,art", s); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
-		Interval int64 `json:"interval"`
+		Key      string `json:"key"`
+		Policy   string `json:"policy"`
+		Interval int64  `json:"interval"`
 		Samples  []struct {
 			Cycle int64 `json:"cycle"`
 		} `json:"samples"`
@@ -80,11 +78,14 @@ func TestWriteSeriesFile(t *testing.T) {
 			} `json:"summary"`
 		} `json:"fairness"`
 	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("series file invalid JSON: %v", err)
 	}
 	if doc.Interval != 10_000 || len(doc.Samples) != 5 || doc.Fairness.Summary.Threads != 2 {
 		t.Errorf("series doc interval=%d samples=%d threads=%d, want 10000/5/2",
 			doc.Interval, len(doc.Samples), doc.Fairness.Summary.Threads)
+	}
+	if doc.Key != "art,art" || doc.Policy != "FR-FCFS" {
+		t.Errorf("series doc key=%q policy=%q, want art,art/FR-FCFS", doc.Key, doc.Policy)
 	}
 }

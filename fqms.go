@@ -127,7 +127,6 @@ type SystemConfig struct {
 	// and completed request is re-validated against independently
 	// recomputed timing, conservation, VTMS, and FQ scheduling
 	// invariants; a violation panics. Results are identical either way.
-	// The FQMS_AUDIT environment variable also enables it globally.
 	Audit bool
 
 	// Interference enables per-request delay attribution: the live
@@ -140,38 +139,10 @@ type SystemConfig struct {
 // Run simulates the configured system and reports per-thread and
 // aggregate results.
 func Run(cfg SystemConfig) (Result, error) {
-	if len(cfg.Workload) == 0 {
-		return Result{}, fmt.Errorf("fqms: empty workload")
-	}
-	sched := cfg.Scheduler
-	if sched == "" {
-		sched = FRFCFS
-	}
-	factory, err := sim.PolicyByName(string(sched))
+	s, err := NewSystem(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	profiles := make([]trace.Profile, len(cfg.Workload))
-	for i, n := range cfg.Workload {
-		p, err := trace.ByName(n)
-		if err != nil {
-			return Result{}, err
-		}
-		profiles[i] = p
-	}
-	scfg := sim.Config{
-		Workload:     profiles,
-		Shares:       cfg.Shares,
-		Policy:       factory,
-		Seed:         cfg.Seed,
-		Audit:        cfg.Audit,
-		Interference: cfg.Interference,
-	}
-	if cfg.MemoryScale > 1 {
-		scfg.Mem.DRAM = dram.DefaultConfig()
-		scfg.Mem.DRAM.Timing = dram.DDR2800().Scale(cfg.MemoryScale)
-	}
-	scfg.Mem.Channels = cfg.Channels
 	warmup, window := cfg.Warmup, cfg.Window
 	if warmup <= 0 {
 		warmup = 50_000
@@ -179,7 +150,10 @@ func Run(cfg SystemConfig) (Result, error) {
 	if window <= 0 {
 		window = 400_000
 	}
-	return sim.Run(scfg, warmup, window)
+	if err := s.RunTo(warmup, warmup+window, 0, nil); err != nil {
+		return Result{}, err
+	}
+	return s.Results(), nil
 }
 
 // System is a live simulation that can be stepped, measured, and
@@ -187,8 +161,8 @@ func Run(cfg SystemConfig) (Result, error) {
 type System = sim.System
 
 // NewSystem constructs a system from the same configuration Run uses,
-// but leaves stepping to the caller: use Step, BeginMeasurement,
-// Results, and SetShare.
+// but leaves stepping to the caller: use RunTo, or Step,
+// BeginMeasurement, Results, and SetShare.
 func NewSystem(cfg SystemConfig) (*System, error) {
 	if len(cfg.Workload) == 0 {
 		return nil, fmt.Errorf("fqms: empty workload")

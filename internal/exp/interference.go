@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/memctrl"
+	"repro/internal/snapshot"
 )
 
 // Interference artifacts: with Config.Interference every run leaves a
@@ -67,13 +68,7 @@ func (r *Runner) saveInterference(key string, doc InterferenceDoc) error {
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	path := r.interferencePath(key)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return snapshot.WriteFile(r.interferencePath(key), append(b, '\n'))
 }
 
 // loadInterference recalls a persisted attribution snapshot, mirroring

@@ -2,14 +2,18 @@ package exp
 
 import (
 	"errors"
+	"os"
 	"testing"
+	"time"
+
+	"repro/internal/sim"
 )
 
 // TestQuick is the CI race-detector smoke test: it drives parallelDo
-// and the Runner's concurrent memoization (shared memo map, cycle
-// accounting, and the limit semaphore) with overlapping keys, which is
-// exactly the state `go test -race` needs to see under contention. It
-// is deliberately small enough to finish in seconds under -race.
+// and the Runner's concurrent memoization (shared memo map, in-flight
+// waits, and cycle accounting) with overlapping keys, which is exactly
+// the state `go test -race` needs to see under contention. It is
+// deliberately small enough to finish in seconds under -race.
 func TestQuick(t *testing.T) {
 	r := NewRunner(Config{Warmup: 5_000, Window: 20_000, Parallel: 4})
 	jobs := []func() error{
@@ -28,10 +32,9 @@ func TestQuick(t *testing.T) {
 	if len(keys) != 4 {
 		t.Errorf("memo keys = %v, want 4 distinct runs", keys)
 	}
-	// Duplicate keys may race past the memo double-check and simulate
-	// twice; the accounting must cover at least the distinct runs.
-	if got := r.SimulatedCycles(); got < 4*25_000 {
-		t.Errorf("SimulatedCycles = %d, want >= %d", got, 4*25_000)
+	// Each distinct key is simulated exactly once.
+	if got := r.SimulatedCycles(); got != 4*25_000 {
+		t.Errorf("SimulatedCycles = %d, want %d", got, 4*25_000)
 	}
 
 	// Memoized recall returns identical results without re-simulating.
@@ -60,6 +63,69 @@ func TestQuick(t *testing.T) {
 		return nil
 	}); !errors.Is(err, boom) {
 		t.Errorf("parallelDo error = %v, want boom", err)
+	}
+}
+
+// TestRunOncePerKey has eight callers ask for the same solo baseline at
+// once, as every Figure 5 subject asks for solo/art/x2. The key must be
+// simulated once (the others wait for its result), and with a
+// checkpoint directory the one run must leave exactly one result
+// artifact, mode 0644, with no temporary file and no checkpoint behind.
+func TestRunOncePerKey(t *testing.T) {
+	dir := t.TempDir()
+	r := NewRunner(Config{Warmup: 5_000, Window: 20_000, CheckpointDir: dir})
+	type outcome struct {
+		tr  sim.ThreadResult
+		err error
+	}
+	const callers = 8
+	start := make(chan struct{})
+	out := make(chan outcome, callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			<-start
+			tr, err := r.Solo("art", 2)
+			out <- outcome{tr, err}
+		}()
+	}
+	close(start)
+	deadline := time.After(2 * time.Minute)
+	var first sim.ThreadResult
+	for i := 0; i < callers; i++ {
+		select {
+		case o := <-out:
+			if o.err != nil {
+				t.Fatal(o.err)
+			}
+			if i == 0 {
+				first = o.tr
+			} else if o.tr != first {
+				t.Errorf("caller results differ: %+v vs %+v", o.tr, first)
+			}
+		case <-deadline:
+			t.Fatalf("%d of %d callers still waiting after 2m", callers-i, callers)
+		}
+	}
+	if got := r.SimulatedCycles(); got != 25_000 {
+		t.Errorf("SimulatedCycles = %d, want 25000 (one run)", got)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "solo_art_x2.result.json" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("checkpoint dir holds %v, want only solo_art_x2.result.json", names)
+	}
+	fi, err := entries[0].Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mode := fi.Mode().Perm(); mode != 0o644 {
+		t.Errorf("result artifact mode %v, want 0644", mode)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -31,13 +32,13 @@ type Config struct {
 	// Seed perturbs the trace generators.
 	Seed uint64
 
-	// Parallel bounds concurrent simulations (0 selects 8; runs are
-	// independent and deterministic).
+	// Parallel is the number of worker goroutines a figure runs its
+	// simulations on (0 selects 8; runs are independent and
+	// deterministic).
 	Parallel int
 
 	// Audit runs every simulation under the runtime invariant auditor
-	// (see internal/audit); results are identical, violations panic. The
-	// FQMS_AUDIT environment variable also enables it globally.
+	// (see internal/audit); results are identical, violations panic.
 	Audit bool
 
 	// Interference runs every simulation with delay attribution on
@@ -63,9 +64,9 @@ type Config struct {
 
 	// CheckpointDir, when non-empty, makes every run crash-resilient:
 	// the simulator checkpoints its complete state to
-	// <dir>/<key>.ckpt every CheckpointEvery cycles (atomically, via
-	// temp file + rename), and each completed run's Result is persisted
-	// to <dir>/<key>.result.json.
+	// <dir>/<key>.ckpt every CheckpointEvery cycles and on the warmup
+	// boundary (atomically, via snapshot.WriteFile), and each completed
+	// run's Result is persisted to <dir>/<key>.result.json.
 	CheckpointDir string
 
 	// CheckpointEvery is the auto-checkpoint interval in cycles
@@ -109,15 +110,15 @@ func QuickConfig() Config {
 }
 
 // Runner executes experiments, memoizing runs shared between figures
-// (solo runs feed Figures 4, 5, 8, and 9).
+// (solo runs feed Figures 4, 5, 8, and 9). Each memo key is simulated
+// once: concurrent callers of a key in flight wait for its result.
 type Runner struct {
 	cfg Config
 
 	mu        sync.Mutex
-	memo      map[string]sim.Result
+	memo      map[string]*flight
 	intfMemo  map[string]InterferenceDoc
 	simCycles int64
-	limit     chan struct{}
 	// runWorkers is the run-level concurrency (Parallel, defaulted);
 	// parallelDo spawns exactly this many worker goroutines.
 	runWorkers int
@@ -130,6 +131,14 @@ type Runner struct {
 
 // errStopped is returned when the stopAfterCheckpoints test hook fires.
 var errStopped = errors.New("exp: stopped by checkpoint hook")
+
+// flight is one memo key's run; done closes when res and err are
+// final.
+type flight struct {
+	done chan struct{}
+	res  sim.Result
+	err  error
+}
 
 // SimulatedCycles returns the total cycles actually simulated so far
 // (memoized recalls are not double-counted). cmd/experiments uses the
@@ -157,9 +166,8 @@ func NewRunner(cfg Config) *Runner {
 	}
 	return &Runner{
 		cfg:        cfg,
-		memo:       make(map[string]sim.Result),
+		memo:       make(map[string]*flight),
 		intfMemo:   make(map[string]InterferenceDoc),
-		limit:      make(chan struct{}, n),
 		runWorkers: n,
 	}
 }
@@ -177,39 +185,47 @@ var policies = []struct {
 // PolicyNames returns the evaluation's scheduler names in order.
 func PolicyNames() []string { return []string{"FR-FCFS", "FR-VFTF", "FQ-VFTF"} }
 
-// run executes (or recalls) one simulation.
+// run executes (or recalls) one simulation. The first caller of a key
+// runs it; later callers, including those arriving while it is in
+// flight, wait for the same result instead of simulating (and writing
+// its artifacts) again. A failed run is forgotten so a retry can
+// succeed.
 func (r *Runner) run(key string, cfg sim.Config) (sim.Result, error) {
 	r.mu.Lock()
-	if res, ok := r.memo[key]; ok {
-		r.mu.Unlock()
-		return res, nil
+	f, ok := r.memo[key]
+	if !ok {
+		f = &flight{done: make(chan struct{})}
+		r.memo[key] = f
 	}
 	r.mu.Unlock()
-
-	r.limit <- struct{}{}
-	defer func() { <-r.limit }()
-
-	// Re-check after acquiring the slot (another goroutine may have
-	// computed it meanwhile).
-	r.mu.Lock()
-	if res, ok := r.memo[key]; ok {
-		r.mu.Unlock()
-		return res, nil
+	if ok {
+		<-f.done
+		return f.res, f.err
 	}
-	r.mu.Unlock()
+	f.res, f.err = r.runOnce(key, cfg)
+	if f.err != nil {
+		r.mu.Lock()
+		delete(r.memo, key)
+		r.mu.Unlock()
+	}
+	close(f.done)
+	return f.res, f.err
+}
 
+// runOnce produces one key's result: recalled from a previous sweep's
+// artifacts, or simulated.
+func (r *Runner) runOnce(key string, cfg sim.Config) (sim.Result, error) {
 	// A previous sweep may have finished this run already. With
 	// attribution on the recall also needs the interference artifact;
 	// a run whose result survived but whose matrix did not re-simulates.
 	if res, ok := r.loadResult(key); ok {
 		doc, docOK := r.loadInterference(key)
 		if !r.cfg.Interference || docOK {
-			r.mu.Lock()
-			r.memo[key] = res
 			if docOK {
+				r.mu.Lock()
 				r.intfMemo[key] = doc
+				r.mu.Unlock()
 			}
-			r.mu.Unlock()
 			return res, nil
 		}
 	}
@@ -218,23 +234,24 @@ func (r *Runner) run(key string, cfg sim.Config) (sim.Result, error) {
 	cfg.Audit = cfg.Audit || r.cfg.Audit
 	cfg.Interference = cfg.Interference || r.cfg.Interference
 	cfg.SampleInterval = r.cfg.SampleInterval
-	sys, res, stepped, err := r.runSim(key, cfg)
+	sys, stepped, err := r.runSim(key, cfg)
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("exp: run %s: %w", key, err)
 	}
+	res := sys.Results()
 	if r.cfg.SampleInterval > 0 && r.cfg.SeriesDir != "" {
 		if err := writeSeries(r.cfg.SeriesDir, key, sys); err != nil {
 			return sim.Result{}, fmt.Errorf("exp: series %s: %w", key, err)
 		}
 	}
-	var doc InterferenceDoc
-	var hasDoc bool
 	if snap, ok := sys.Interference(); ok {
-		doc = InterferenceDoc{Key: key, Policy: sys.Controller().Policy().Name(), Interference: snap}
-		hasDoc = true
+		doc := InterferenceDoc{Key: key, Policy: sys.Controller().Policy().Name(), Interference: snap}
 		if err := r.saveInterference(key, doc); err != nil {
 			return sim.Result{}, fmt.Errorf("exp: interference %s: %w", key, err)
 		}
+		r.mu.Lock()
+		r.intfMemo[key] = doc
+		r.mu.Unlock()
 	}
 	if err := r.saveResult(key, res); err != nil {
 		return sim.Result{}, fmt.Errorf("exp: persist %s: %w", key, err)
@@ -243,97 +260,74 @@ func (r *Runner) run(key string, cfg sim.Config) (sim.Result, error) {
 		r.cfg.Progress.AddCycles(stepped)
 	}
 	r.mu.Lock()
-	r.memo[key] = res
-	if hasDoc {
-		r.intfMemo[key] = doc
-	}
 	r.simCycles += stepped
 	r.mu.Unlock()
 	return res, nil
 }
 
-// runSim executes one simulation to completion. With CheckpointDir set
-// it steps in CheckpointEvery chunks, checkpointing after each; with
-// Resume it first tries to restore from an existing checkpoint. It
-// returns the cycles actually simulated in this process (less than
-// warmup+window for a resumed run).
-func (r *Runner) runSim(key string, cfg sim.Config) (*sim.System, sim.Result, int64, error) {
-	if r.cfg.CheckpointDir == "" {
-		sys, res, err := sim.RunSystem(cfg, r.cfg.Warmup, r.cfg.Window)
-		return sys, res, r.cfg.Warmup + r.cfg.Window, err
-	}
-	every := r.cfg.CheckpointEvery
-	if every <= 0 {
-		every = DefaultCheckpointEvery
-	}
-	if err := os.MkdirAll(r.cfg.CheckpointDir, 0o755); err != nil {
-		return nil, sim.Result{}, 0, err
-	}
-	ckpt := r.checkpointPath(key)
+// runSim executes one simulation to completion through sim.RunTo. With
+// CheckpointDir set it checkpoints after every CheckpointEvery chunk
+// (and on the warmup boundary), and with Resume it first tries to
+// restore from an existing checkpoint. It returns the cycles actually
+// simulated in this process (less than warmup+window for a resumed
+// run).
+func (r *Runner) runSim(key string, cfg sim.Config) (*sim.System, int64, error) {
+	total := r.cfg.Warmup + r.cfg.Window
+	var every int64
+	var between func() error
 	var sys *sim.System
-	if r.cfg.Resume {
-		if _, err := os.Stat(ckpt); err == nil {
-			restored, err := sim.RestoreFile(cfg, ckpt)
-			if err != nil {
-				return nil, sim.Result{}, 0, fmt.Errorf("restore %s: %w", ckpt, err)
+	if dir := r.cfg.CheckpointDir; dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, 0, err
+		}
+		every = r.cfg.CheckpointEvery
+		if every <= 0 {
+			every = DefaultCheckpointEvery
+		}
+		ckpt := r.checkpointPath(key)
+		if r.cfg.Resume {
+			if _, err := os.Stat(ckpt); err == nil {
+				if sys, err = sim.RestoreFile(cfg, ckpt); err != nil {
+					return nil, 0, fmt.Errorf("restore %s: %w", ckpt, err)
+				}
 			}
-			sys = restored
+		}
+		between = func() error {
+			if err := r.writeCheckpoint(key, ckpt, sys); err != nil {
+				return fmt.Errorf("checkpoint %s: %w", ckpt, err)
+			}
+			if r.noteCheckpoint() {
+				return errStopped
+			}
+			return nil
 		}
 	}
 	if sys == nil {
 		fresh, err := sim.New(cfg)
 		if err != nil {
-			return nil, sim.Result{}, 0, err
+			return nil, 0, err
 		}
 		sys = fresh
 	}
 	start := sys.Cycle()
-	total := r.cfg.Warmup + r.cfg.Window
-	for sys.Cycle() < total {
-		next := sys.Cycle() + every
-		// Stop at the measurement boundary so BeginMeasurement lands on
-		// exactly the same cycle as an uninterrupted run.
-		if !sys.MeasurementStarted() && next > r.cfg.Warmup {
-			next = r.cfg.Warmup
-		}
-		if next > total {
-			next = total
-		}
-		sys.Step(next - sys.Cycle())
-		if !sys.MeasurementStarted() && sys.Cycle() >= r.cfg.Warmup {
-			sys.BeginMeasurement()
-		}
-		if sys.Cycle() < total {
-			if err := r.writeCheckpoint(key, ckpt, sys); err != nil {
-				return nil, sim.Result{}, 0, fmt.Errorf("checkpoint %s: %w", ckpt, err)
-			}
-			if stop := r.noteCheckpoint(); stop {
-				return nil, sim.Result{}, 0, errStopped
-			}
-		}
+	if err := sys.RunTo(r.cfg.Warmup, total, every, between); err != nil {
+		return nil, 0, err
 	}
-	sys.FinishAudit()
-	return sys, sys.Results(), total - start, nil
+	return sys, total - start, nil
 }
 
-// writeCheckpoint persists one checkpoint. Without a sink it defers to
-// the simulator's atomic CheckpointFile; with one it snapshots through
-// a buffer so the sink sees exactly the bytes on disk, then writes the
-// file with the same temp+rename atomicity.
+// writeCheckpoint persists one checkpoint through the atomic
+// snapshot.WriteFile, then hands the same bytes to the sink, if any.
 func (r *Runner) writeCheckpoint(key, path string, sys *sim.System) error {
-	if r.cfg.CheckpointSink == nil {
-		return sys.CheckpointFile(path)
-	}
 	var buf bytes.Buffer
 	if err := sys.Checkpoint(&buf); err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+	if err := snapshot.WriteFile(path, buf.Bytes()); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
+	if r.cfg.CheckpointSink == nil {
+		return nil
 	}
 	return r.cfg.CheckpointSink(key, sys.Cycle(), buf.Bytes())
 }
@@ -382,19 +376,11 @@ func (r *Runner) saveResult(key string, res sim.Result) error {
 	if r.cfg.CheckpointDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(r.cfg.CheckpointDir, 0o755); err != nil {
-		return err
-	}
 	b, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		return err
 	}
-	path := r.resultPath(key)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := snapshot.WriteFile(r.resultPath(key), b); err != nil {
 		return err
 	}
 	os.Remove(r.checkpointPath(key))

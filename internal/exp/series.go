@@ -3,6 +3,7 @@ package exp
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -57,10 +58,12 @@ func sanitizeKey(key string) string {
 	return string(out)
 }
 
-// writeSeries exports one finished run's time series into dir.
-func writeSeries(dir, key string, s *sim.System) error {
-	stem := filepath.Join(dir, sanitizeKey(key))
-
+// WriteSeriesJSON writes a finished run's epoch series — per-interval
+// metric deltas plus the fairness series and its summary, labelled
+// with key and the run's policy — to w as the indented JSON document
+// of a <key>.series.json artifact. s must have been sampled
+// (sim.Config.SampleInterval > 0).
+func WriteSeriesJSON(w io.Writer, key string, s *sim.System) error {
 	doc := seriesDoc{
 		Key:      key,
 		Policy:   s.Controller().Policy().Name(),
@@ -70,14 +73,20 @@ func writeSeries(dir, key string, s *sim.System) error {
 	}
 	doc.Fairness.Summary = s.Fairness().Summary()
 	doc.Fairness.Samples = s.Fairness().Samples(-1)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
+}
+
+// writeSeries exports one finished run's time series into dir.
+func writeSeries(dir, key string, s *sim.System) error {
+	stem := filepath.Join(dir, sanitizeKey(key))
 
 	jf, err := os.Create(stem + ".series.json")
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(jf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
+	if err := WriteSeriesJSON(jf, key, s); err != nil {
 		jf.Close()
 		return err
 	}
@@ -89,11 +98,12 @@ func writeSeries(dir, key string, s *sim.System) error {
 	if err != nil {
 		return err
 	}
-	rows := make([][]string, 0, len(doc.Fairness.Samples)*doc.Fairness.Summary.Threads)
-	for _, fs := range doc.Fairness.Samples {
+	policy := s.Controller().Policy().Name()
+	var rows [][]string
+	for _, fs := range s.Fairness().Samples(-1) {
 		for t := range fs.Service {
 			rows = append(rows, []string{
-				doc.Policy,
+				policy,
 				strconv.FormatInt(fs.Epoch, 10), strconv.FormatInt(fs.Cycle, 10),
 				strconv.Itoa(t), strconv.FormatInt(fs.Service[t], 10),
 				f(fs.Share[t]), f(fs.Phi[t]), f(fs.Excess[t]),

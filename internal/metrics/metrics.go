@@ -243,7 +243,7 @@ func histStats(h *Histogram) HistogramStats {
 }
 
 // Snapshot is a point-in-time export of every registered metric,
-// JSON-serializable for `fqsim -metrics`.
+// JSON-serializable for `fqsim -metrics-out`.
 type Snapshot struct {
 	Counters   map[string]int64          `json:"counters,omitempty"`
 	Gauges     map[string]int64          `json:"gauges,omitempty"`

@@ -8,7 +8,6 @@ package sim
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -109,8 +108,7 @@ type Config struct {
 	// per-bank wake times and next-event early-out) and runs the seed's
 	// exhaustive per-cycle bank scan. Simulated results are identical
 	// either way (the equivalence tests assert it); strict mode exists
-	// as a cross-check oracle and a debugging aid. The FQMS_STRICT
-	// environment variable (any non-empty value) forces it globally.
+	// as a cross-check oracle and a debugging aid.
 	Strict bool
 
 	// Audit attaches the runtime invariant auditor (package audit) to the
@@ -118,8 +116,7 @@ type Config struct {
 	// is re-validated against independently recomputed timing,
 	// conservation, VTMS, and FQ bank-scheduling invariants, and any
 	// violation panics with the recent command history. Results are
-	// identical with or without. The FQMS_AUDIT environment variable (any
-	// non-empty value) forces it globally.
+	// identical with or without.
 	Audit bool
 
 	// Interference enables the controller's per-request delay
@@ -225,12 +222,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.RespTransit == 0 {
 		c.RespTransit = 10
-	}
-	if os.Getenv("FQMS_STRICT") != "" {
-		c.Strict = true
-	}
-	if os.Getenv("FQMS_AUDIT") != "" {
-		c.Audit = true
 	}
 	if c.Audit {
 		c.Mem.Audit = true
@@ -473,7 +464,7 @@ func (s *System) initMetrics(reg *metrics.Registry) {
 func (s *System) Controller() *memctrl.Controller { return s.ctrl }
 
 // FinishAudit runs the auditor's end-of-run conservation and starvation
-// checks (a no-op unless auditing is enabled). Run calls it after the
+// checks (a no-op unless auditing is enabled). RunTo calls it after the
 // measurement window; long-lived callers of Step should call it once at
 // the end of the simulation.
 func (s *System) FinishAudit() { s.ctrl.FinishAudit(s.cycle) }
@@ -724,6 +715,42 @@ func (s *System) BeginMeasurementAtZero() {
 	s.snap.bankBusy = 0
 }
 
+// RunTo is the one run loop: it advances the system from its current
+// cycle (0, or wherever a restored checkpoint left it) to cycle total
+// in chunks of at most every cycles (every <= 0: no chunking). A chunk
+// never crosses the warmup boundary, and BeginMeasurement is called
+// exactly on it, so a chunked, checkpointed or restored run measures
+// the same window as a straight one (Step(n) twice is Step(2n)).
+// between, when non-nil, runs after every chunk that ends before total
+// (a checkpoint, a progress update); its error stops the run. At total
+// RunTo calls FinishAudit.
+func (s *System) RunTo(warmup, total, every int64, between func() error) error {
+	begin := func() {
+		if !s.MeasurementStarted() && s.cycle >= warmup {
+			s.BeginMeasurement()
+		}
+	}
+	begin()
+	for s.cycle < total {
+		next := total
+		if every > 0 && s.cycle+every < next {
+			next = s.cycle + every
+		}
+		if !s.MeasurementStarted() && next > warmup {
+			next = warmup
+		}
+		s.Step(next - s.cycle)
+		begin()
+		if s.cycle < total && between != nil {
+			if err := between(); err != nil {
+				return err
+			}
+		}
+	}
+	s.FinishAudit()
+	return nil
+}
+
 // Run is the convenience entry point: simulate warmup cycles, then
 // measure for window cycles and return the results.
 func Run(cfg Config, warmup, window int64) (Result, error) {
@@ -739,9 +766,8 @@ func RunSystem(cfg Config, warmup, window int64) (*System, Result, error) {
 	if err != nil {
 		return nil, Result{}, err
 	}
-	s.Step(warmup)
-	s.BeginMeasurement()
-	s.Step(window)
-	s.FinishAudit()
+	if err := s.RunTo(warmup, warmup+window, 0, nil); err != nil {
+		return nil, Result{}, err
+	}
 	return s, s.Results(), nil
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -218,6 +220,50 @@ func TestBeginMeasurementExcludesWarmup(t *testing.T) {
 	retiredAll := s.Core(0).Retired
 	if res.Threads[0].Instructions >= retiredAll {
 		t.Error("measurement window included warmup instructions")
+	}
+}
+
+// TestRunToChunks pins the run loop's contract: chunks of at most
+// every cycles, clamped to the warmup boundary, between called after
+// each chunk that ends before total (never at total), and results
+// identical to a straight run. An error from between stops the run
+// where it was, and RunTo on the stopped system finishes it.
+func TestRunToChunks(t *testing.T) {
+	cfg := Config{Workload: []trace.Profile{profile(t, "art"), profile(t, "vpr")}, Policy: FQVFTF}
+	_, want, err := RunSystem(cfg, 10_000, 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var at []int64
+	stop := errors.New("stop")
+	err = s.RunTo(10_000, 30_000, 7_000, func() error {
+		at = append(at, s.Cycle())
+		if !s.MeasurementStarted() && s.Cycle() >= 10_000 {
+			t.Errorf("cycle %d: measurement not begun past warmup", s.Cycle())
+		}
+		if s.Cycle() == 17_000 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) || s.Cycle() != 17_000 {
+		t.Fatalf("RunTo = %v at cycle %d, want stop at 17000", err, s.Cycle())
+	}
+	if err := s.RunTo(10_000, 30_000, 7_000, func() error {
+		at = append(at, s.Cycle())
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if wantAt := []int64{7_000, 10_000, 17_000, 24_000}; !reflect.DeepEqual(at, wantAt) {
+		t.Errorf("between ran at %v, want %v", at, wantAt)
+	}
+	if got := s.Results(); !reflect.DeepEqual(got, want) {
+		t.Errorf("chunked run diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
 

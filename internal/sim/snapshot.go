@@ -2,10 +2,10 @@ package sim
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/snapshot"
 )
@@ -294,33 +294,15 @@ func Restore(cfg Config, rd io.Reader) (s *System, err error) {
 // measurement baseline before committing it.
 type baselineState baseline
 
-// CheckpointFile writes a checkpoint atomically: to a temporary file in
-// the same directory, then renamed over path, so a crash mid-write never
-// leaves a truncated snapshot where a resumable one is expected.
+// CheckpointFile writes a checkpoint atomically through
+// snapshot.WriteFile, so a crash mid-write never leaves a truncated
+// snapshot where a resumable one is expected.
 func (s *System) CheckpointFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriter(tmp)
-	if err := s.Checkpoint(bw); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return snapshot.WriteFile(path, buf.Bytes())
 }
 
 // RestoreFile restores a system from a checkpoint file written by
